@@ -64,6 +64,7 @@ writes the machine-readable record grid.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -83,14 +84,59 @@ from repro.harness import (
     write_records_json,
 )
 from repro.harness.ledger import default_progress
-from repro.workloads import all_benchmarks
+from repro.workloads import all_benchmarks, get_benchmark
 
 _LEVELS = {level.value: level for level in HeuristicLevel}
+
+#: the simulation cores every ``--engine`` option offers
+_ENGINES = ("fast", "reference")
+
+
+def _scale(text: str) -> float:
+    """argparse type of ``--scale``: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid scale {text!r}: not a number"
+        ) from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"invalid scale {text!r}: must be a finite number > 0"
+        )
+    return value
+
+
+def _pus(text: str) -> int:
+    """argparse type of ``--pus``: the machine presets' PU-count rule."""
+    from repro.machines import MachineSpecError, check_pu_count
+
+    try:
+        n_pus = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid PU count {text!r}: not an integer"
+        ) from None
+    try:
+        check_pu_count(n_pus)
+    except MachineSpecError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n_pus
+
+
+def _known(args: argparse.Namespace, names: List[str]) -> List[str]:
+    """``names``, after a one-line exit on the first unknown one."""
+    for name in names:
+        try:
+            get_benchmark(name)
+        except KeyError as exc:
+            raise SystemExit(f"repro {args.command}: {exc.args[0]}") from None
+    return names
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=_scale, default=1.0,
         help="workload scale factor (default 1.0)",
     )
     parser.add_argument(
@@ -112,7 +158,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _names(args: argparse.Namespace) -> List[str]:
-    return [n for n in args.benchmarks.split(",") if n]
+    return _known(args, [n for n in args.benchmarks.split(",") if n])
 
 
 def _harness_kwargs(args: argparse.Namespace) -> dict:
@@ -147,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--level", choices=sorted(_LEVELS), default="data_dependence"
     )
-    run_p.add_argument("--pus", type=int, default=4)
+    run_p.add_argument("--pus", type=_pus, default=4)
     run_p.add_argument("--in-order", action="store_true")
-    run_p.add_argument("--scale", type=float, default=1.0)
-    run_p.add_argument("--engine", choices=["fast", "batched", "reference"],
+    run_p.add_argument("--scale", type=_scale, default=1.0)
+    run_p.add_argument("--engine", choices=_ENGINES,
                        default="fast",
                        help="simulation core (bit-identical results)")
     run_p.add_argument("--strategy", default="",
@@ -162,10 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig_p = sub.add_parser("figure5", help="regenerate Figure 5")
     _add_common(fig_p)
-    fig_p.add_argument("--engine", choices=["fast", "batched", "reference"],
+    fig_p.add_argument("--engine", choices=_ENGINES,
                        default="fast",
                        help="simulation core (bit-identical results)")
-    fig_p.add_argument("--pus", type=int, default=0,
+    fig_p.add_argument("--pus", type=_pus, default=0,
                        help="restrict to one PU count (default: 4 and 8)")
     fig_p.add_argument("--in-order", action="store_true",
                        help="in-order PUs only (default: both)")
@@ -193,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--levels", default="",
         help="comma-separated heuristic levels (default: all four)",
     )
-    scal_p.add_argument("--engine", choices=["fast", "batched", "reference"],
+    scal_p.add_argument("--engine", choices=_ENGINES,
                         default="fast",
                         help="simulation core (bit-identical results)")
     scal_p.add_argument(
@@ -207,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     tab_p = sub.add_parser("table1", help="regenerate Table 1")
     _add_common(tab_p)
-    tab_p.add_argument("--pus", type=int, default=8)
+    tab_p.add_argument("--pus", type=_pus, default=8)
     tab_p.add_argument("--json", default="",
                        help="also write the record grid as JSON to this path")
 
     brk_p = sub.add_parser("breakdown", help="Figure 2 cycle accounting")
     _add_common(brk_p)
-    brk_p.add_argument("--pus", type=int, default=4)
+    brk_p.add_argument("--pus", type=_pus, default=4)
     brk_p.add_argument("--json", default="",
                        help="also write the record grid as JSON to this path")
 
@@ -222,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distributed vs centralized motivation study",
     )
     _add_common(cen_p)
-    cen_p.add_argument("--pus", type=int, default=8)
+    cen_p.add_argument("--pus", type=_pus, default=8)
 
     ver_p = sub.add_parser(
         "verify",
@@ -239,16 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--levels", default="",
         help="comma-separated heuristic levels (default: all four)",
     )
-    ver_p.add_argument("--pus", type=int, default=4)
+    ver_p.add_argument("--pus", type=_pus, default=4)
     ver_p.add_argument("--in-order", action="store_true")
-    ver_p.add_argument("--scale", type=float, default=1.0)
+    ver_p.add_argument("--scale", type=_scale, default=1.0)
     ver_p.add_argument(
         "--faults", type=int, default=0,
         help="inject N seeded faults per cell to exercise recovery",
     )
     ver_p.add_argument("--seed", type=int, default=0,
                        help="base seed for the fault plans")
-    ver_p.add_argument("--engine", choices=["fast", "batched", "reference"],
+    ver_p.add_argument("--engine", choices=_ENGINES,
                        default="fast",
                        help="simulation core under test (default: fast)")
 
@@ -263,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument(
         "--engines", default="fast",
-        help="comma-separated engines to time (fast, batched, "
-             "reference; default: fast)",
+        help="comma-separated engines to time (fast, reference; "
+             "default: fast)",
     )
     bench_p.add_argument("--jobs", type=int, default=1,
                          help="harness workers (default 1, the "
@@ -299,10 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument(
         "--level", choices=sorted(_LEVELS), default="data_dependence"
     )
-    trace_p.add_argument("--pus", type=int, default=4)
+    trace_p.add_argument("--pus", type=_pus, default=4)
     trace_p.add_argument("--in-order", action="store_true")
-    trace_p.add_argument("--scale", type=float, default=1.0)
-    trace_p.add_argument("--engine", choices=["fast", "batched", "reference"],
+    trace_p.add_argument("--scale", type=_scale, default=1.0)
+    trace_p.add_argument("--engine", choices=_ENGINES,
                          default="fast",
                          help="simulation core (identical event streams; "
                               "fast adds cycle-skip diagnostics)")
@@ -336,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument(
         "--level", choices=sorted(_LEVELS), default="data_dependence"
     )
-    prof_p.add_argument("--pus", type=int, default=4)
+    prof_p.add_argument("--pus", type=_pus, default=4)
     prof_p.add_argument("--in-order", action="store_true")
-    prof_p.add_argument("--scale", type=float, default=1.0)
-    prof_p.add_argument("--engine", choices=["fast", "batched", "reference"],
+    prof_p.add_argument("--scale", type=_scale, default=1.0)
+    prof_p.add_argument("--engine", choices=_ENGINES,
                         default="fast")
     prof_p.add_argument("--top", type=int, default=25,
                         help="number of hotspots to print (default 25)")
@@ -440,13 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
              "reproducer",
     )
     fuzz_p.add_argument(
-        "--engine", action="append", dest="extra_engines",
-        choices=["fast", "batched", "reference"], default=None,
-        help="add an engine to the differential (repeatable); "
-             "'--engine batched' cross-checks a third column beyond "
-             "the default fast-vs-reference pair",
-    )
-    fuzz_p.add_argument(
         "--strategy", action="append", dest="strategies", default=None,
         help="non-paper selection strategy to sweep as an extra cell "
              "group per program (repeatable; default cost_model; "
@@ -495,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pop", type=int, default=8,
         help="GA population size / random-search batch (default 8)",
     )
-    tune_p.add_argument("--n-pus", type=int, default=4,
+    tune_p.add_argument("--n-pus", type=_pus, default=4,
                         help="processing units (default 4)")
     tune_p.add_argument(
         "--machine", default="paper-4x2",
@@ -512,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--in-order", action="store_true",
         help="tune for in-order PUs (default out-of-order)",
     )
-    tune_p.add_argument("--scale", type=float, default=1.0,
+    tune_p.add_argument("--scale", type=_scale, default=1.0,
                         help="workload scale factor (default 1.0)")
     tune_p.add_argument(
         "--no-cache", action="store_true",
@@ -613,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="service base URL")
     sub_p.add_argument("--benchmarks", default="",
                        help="comma-separated benchmark names")
-    sub_p.add_argument("--scale", type=float, default=None,
+    sub_p.add_argument("--scale", type=_scale, default=None,
                        help="workload scale factor")
     sub_p.add_argument("--levels", default="",
                        help="comma-separated heuristic levels")
@@ -660,6 +699,7 @@ def _sim_for_engine(engine: str):
 def _cmd_run(args: argparse.Namespace) -> str:
     from repro.compiler import SelectionConfig, get_strategy
 
+    _known(args, [args.benchmark])
     selection = None
     if args.strategy:
         selection = SelectionConfig(
@@ -801,7 +841,7 @@ def _cmd_centralized(args: argparse.Namespace) -> str:
 def _cmd_verify(args: argparse.Namespace) -> str:
     from repro.reliability import verify_grid
 
-    names = list(args.benchmarks)
+    names = _known(args, list(args.benchmarks))
     if not names and not args.all:
         raise SystemExit(
             "repro verify: name at least one benchmark or pass --all"
@@ -839,6 +879,12 @@ def _cmd_bench(args: argparse.Namespace) -> str:
                 f"repro bench: unknown grid {grid!r} "
                 f"(choose from {', '.join(sorted(bench.GRIDS))})"
             )
+    for engine in engines:
+        if engine not in _ENGINES:
+            raise SystemExit(
+                f"repro bench: unknown engine {engine!r} "
+                f"(choose from {', '.join(_ENGINES)})"
+            )
     record = bench.run_bench(grids=grids, engines=engines, jobs=args.jobs)
     if args.json:
         bench.write_record(args.json, record)
@@ -869,6 +915,7 @@ def _cmd_bench(args: argparse.Namespace) -> str:
 def _cmd_trace(args: argparse.Namespace) -> str:
     from repro.telemetry import TraceCollector, write_chrome_trace
 
+    _known(args, [args.benchmark])
     collector = TraceCollector()
     record = run_benchmark(
         args.benchmark,
@@ -926,6 +973,7 @@ def _cmd_profile_sim(args: argparse.Namespace) -> str:
 
     from repro.experiments.runner import compile_benchmark
 
+    _known(args, [args.benchmark])
     level = _LEVELS[args.level]
     profile = cProfile.Profile()
     if args.include_compile:
@@ -1045,20 +1093,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> str:
                                 progress=default_progress())
     else:
         ledger = None
-    from repro.synth.campaign import ENGINES
-
-    engines = list(ENGINES)
-    for engine in args.extra_engines or ():
-        if engine not in engines:
-            engines.append(engine)
     strategies = _fuzz_strategies(args.strategies)
     machines = _fuzz_machines(args.machines)
     result = run_campaign(
         budget=args.budget, seed=args.seed, preset=args.preset,
         jobs=args.jobs, cache=cache, ledger=ledger,
         resume=args.resume, minimize=args.minimize,
-        engines=tuple(engines), strategies=strategies,
-        machines=machines,
+        strategies=strategies, machines=machines,
     )
     lines = [result.summary()]
     counters = (result.metrics or {}).get("counters", {})
@@ -1124,7 +1165,7 @@ def _cmd_tune(args: argparse.Namespace) -> str:
     from repro.synth.campaign import program_seed
     from repro.tune import TuneLedger, tune, tune_summary, write_tune_reports
 
-    targets = list(args.benchmarks)
+    targets = _known(args, list(args.benchmarks))
     if args.synth:
         if args.synth not in PRESETS:
             raise SystemExit(

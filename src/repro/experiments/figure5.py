@@ -143,12 +143,9 @@ def run_figure5(
     The grid is submitted through the harness: ``jobs`` workers
     (``0``/``None`` = one per CPU), with compilation shared per
     (benchmark, level) and optional persistent caching.  ``engine``
-    selects the simulation core (``"fast"``, ``"batched"`` or
-    ``"reference"``); all three are bit-identical, so this only
-    affects wall-clock time — and the cache key, which covers every
-    ``SimConfig`` field.  With ``"batched"`` the scheduler runs each
-    compile group (the machine configs of one (benchmark, level)) as
-    one lockstep cohort.
+    selects the simulation core (``"fast"`` or ``"reference"``); the
+    two are bit-identical, so this only affects wall-clock time — and
+    the cache key, which covers every ``SimConfig`` field.
     """
     keys, specs = figure5_specs(benchmarks, configs, levels, scale, engine)
     records = run_specs(specs, jobs=jobs, cache=cache, ledger=ledger,

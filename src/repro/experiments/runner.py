@@ -94,29 +94,10 @@ class RunRecord:
 
 _compile_cache: Dict[_CompileKey, Compiled] = {}
 
-#: pre-built packed arrays donated for a pending compilation (see
-#: :func:`offer_packed`), consumed by the next matching compile
-_packed_offers: Dict[_CompileKey, object] = {}
-
 
 def clear_cache() -> None:
     """Drop all cached compilations (tests use this for isolation)."""
     _compile_cache.clear()
-    _packed_offers.clear()
-
-
-def offer_packed(key: _CompileKey, packed) -> None:
-    """Donate pre-built packed arrays for the compilation at ``key``.
-
-    The next :func:`compile_benchmark` call with this key adopts the
-    arrays instead of re-packing its trace — the shared-memory
-    warm-start path (:mod:`repro.harness.shm`).  Safe because
-    compilation is deterministic per key, the same contract the
-    artifact cache's compiled products rely on; ignored when the key
-    is already compiled in-process.
-    """
-    if key not in _compile_cache:
-        _packed_offers[key] = packed
 
 
 def resolve_selection(
@@ -183,7 +164,6 @@ def compile_benchmark(
     cached = _compile_cache.get(key)
     if cached is not None:
         return cached
-    offered = _packed_offers.pop(key, None)
     # Interpreting and packing a trace creates millions of short-lived
     # tracked objects; the cyclic collector only adds scan time here.
     gc_was_enabled = gc.isenabled()
@@ -205,7 +185,7 @@ def compile_benchmark(
             trace = partition.profile_trace
         else:
             trace = run_program(partition.program)
-        stream = build_task_stream(trace, partition, packed=offered)
+        stream = build_task_stream(trace, partition)
         release = ReleaseAnalysis(partition)
     finally:
         if gc_was_enabled:
@@ -232,52 +212,6 @@ def _machine_config(
     return replace(config, out_of_order=out_of_order)
 
 
-def _cell_tag(name: str, level: HeuristicLevel, n_pus: int,
-              out_of_order: bool) -> str:
-    """Machine label used in diagnostics and telemetry."""
-    return f"{name}/{level.value}/{n_pus}{'ooo' if out_of_order else 'ino'}"
-
-
-def _assemble_record(
-    name: str,
-    suite: str,
-    level: HeuristicLevel,
-    n_pus: int,
-    out_of_order: bool,
-    compiled: Compiled,
-    result,
-) -> RunRecord:
-    """Fold one simulation result into the canonical record shape.
-
-    Shared by the single-cell and batched pipelines so a cell's record
-    is byte-identical regardless of which path executed it.
-    """
-    stream = compiled.stream
-    from repro.telemetry.metrics import run_metrics
-
-    return RunRecord(
-        benchmark=name,
-        suite=suite,
-        level=level,
-        n_pus=n_pus,
-        out_of_order=out_of_order,
-        cycles=result.cycles,
-        instructions=result.committed_instructions,
-        ipc=result.ipc,
-        dynamic_tasks=result.dynamic_tasks,
-        mean_task_size=stream.mean_task_size,
-        mean_control_transfers=stream.mean_control_transfers(),
-        mean_branches=stream.mean_conditional_branches(),
-        task_prediction_accuracy=result.task_prediction_accuracy,
-        branch_prediction_accuracy=result.gshare_accuracy,
-        control_squashes=result.control_squashes,
-        memory_squashes=result.memory_squashes,
-        mean_window_span_measured=result.mean_window_span,
-        breakdown=result.breakdown,
-        metrics=run_metrics(result, stream),
-    )
-
-
 def run_benchmark(
     name: str,
     level: HeuristicLevel,
@@ -301,75 +235,43 @@ def run_benchmark(
     a telemetry collector (see :mod:`repro.telemetry`) that records the
     task-lifecycle event stream for export.
     """
+    from repro.telemetry.metrics import run_metrics
+
     benchmark = get_benchmark(name)
     compiled = compile_benchmark(
         name, level, scale, selection, input_set, profile_input
     )
+    stream = compiled.stream
+    mode = "ooo" if out_of_order else "ino"
     machine = MultiscalarMachine(
-        compiled.stream,
+        stream,
         _machine_config(sim, n_pus, out_of_order),
         compiled.release,
         monitor,
         fault_plan,
-        label=_cell_tag(name, level, n_pus, out_of_order),
+        label=f"{name}/{level.value}/{n_pus}{mode}",
         tracer=tracer,
     )
     result = machine.run()
-    return _assemble_record(
-        name, benchmark.suite, level, n_pus, out_of_order, compiled, result
+    return RunRecord(
+        benchmark=name,
+        suite=benchmark.suite,
+        level=level,
+        n_pus=n_pus,
+        out_of_order=out_of_order,
+        cycles=result.cycles,
+        instructions=result.committed_instructions,
+        ipc=result.ipc,
+        dynamic_tasks=result.dynamic_tasks,
+        mean_task_size=stream.mean_task_size,
+        mean_control_transfers=stream.mean_control_transfers(),
+        mean_branches=stream.mean_conditional_branches(),
+        task_prediction_accuracy=result.task_prediction_accuracy,
+        branch_prediction_accuracy=result.gshare_accuracy,
+        control_squashes=result.control_squashes,
+        memory_squashes=result.memory_squashes,
+        mean_window_span_measured=result.mean_window_span,
+        breakdown=result.breakdown,
+        metrics=run_metrics(result, stream),
     )
 
-
-def run_benchmark_batch(specs) -> list:
-    """Run several cells of ONE compile group as a batched cohort.
-
-    ``specs`` is a sequence of :class:`~repro.harness.spec.RunSpec`
-    sharing a compile signature (same benchmark, level, scale,
-    selection, inputs — the harness scheduler groups by exactly this).
-    The group compiles once, then every machine configuration advances
-    in lockstep through :func:`repro.sim.batched.run_cohort`; records
-    come back aligned with ``specs`` and are byte-identical to what
-    :func:`run_benchmark` would produce cell by cell (the batched
-    engine is validated bit-for-bit against the reference engine).
-    """
-    specs = list(specs)
-    first = specs[0]
-    benchmark = get_benchmark(first.benchmark)
-    compiled = compile_benchmark(
-        first.benchmark,
-        first.level,
-        first.scale,
-        first.selection,
-        first.input_set,
-        first.profile_input,
-    )
-    from repro.sim.batched import run_cohort
-
-    machines = []
-    for spec in specs:
-        config = _machine_config(spec.sim, spec.n_pus, spec.out_of_order)
-        if config.engine != "batched":
-            config = replace(config, engine="batched")
-        machines.append(
-            MultiscalarMachine(
-                compiled.stream,
-                config,
-                compiled.release,
-                label=_cell_tag(
-                    spec.benchmark, spec.level, spec.n_pus, spec.out_of_order
-                ),
-            )
-        )
-    results = run_cohort(machines)
-    return [
-        _assemble_record(
-            spec.benchmark,
-            benchmark.suite,
-            spec.level,
-            spec.n_pus,
-            spec.out_of_order,
-            compiled,
-            result,
-        )
-        for spec, result in zip(specs, results)
-    ]

@@ -10,7 +10,7 @@
   import, resolved through :func:`resolve_machine`.
 
 ``SimConfig(machine="big-little-8")`` resolves through this package;
-all three simulation engines honour the per-PU profiles, and a spec
+both simulation engines honour the per-PU profiles, and a spec
 whose profiles inherit everything is bit-identical to the legacy
 homogeneous configuration.
 """
@@ -32,6 +32,7 @@ from repro.machines.spec import (
     MachineSpec,
     MachineSpecError,
     PUProfile,
+    check_pu_count,
     validate_machine,
     with_predictor,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "PUProfile",
     "SCHEMA_VERSION",
     "arb_entries_for",
+    "check_pu_count",
     "describe_machines",
     "get_machine",
     "homogeneous",

@@ -11,7 +11,7 @@ dataclass.
 Profile fields default to ``None`` = *inherit the global SimConfig
 value*; a spec whose every profile inherits everything is therefore
 **bit-identical** to the legacy homogeneous configuration — the
-invariant ``tests/test_machines.py`` sweeps across all three engines.
+invariant ``tests/test_machines.py`` sweeps across both engines.
 ``lat_extra`` adds per-opclass execution latency (INT, FP, MEM,
 BRANCH — :mod:`repro.sim.runstate` order) on top of each
 instruction's base latency, modelling slower "little" cores without
@@ -128,6 +128,23 @@ def with_predictor(spec: MachineSpec, predictor: str) -> MachineSpec:
     return replace(spec, predictor=predictor)
 
 
+def check_pu_count(n_pus: int, where: str = "") -> None:
+    """Raise :class:`MachineSpecError` unless ``n_pus`` is a power of two.
+
+    The one PU-count rule: presets are linted with it at registry
+    load and the CLI's ``--pus`` options at parse time.  ``where``
+    prefixes the message.
+    """
+    prefix = f"{where}: " if where else ""
+    if n_pus < 1:
+        raise MachineSpecError(f"{prefix}needs at least one PU")
+    if n_pus & (n_pus - 1):
+        raise MachineSpecError(
+            f"{prefix}PU count {n_pus} is not a power of two (the ring "
+            "hop arithmetic and L1 bank scaling assume one)"
+        )
+
+
 def validate_machine(spec: MachineSpec) -> None:
     """Lint one spec; raise :class:`MachineSpecError` on any problem.
 
@@ -144,14 +161,7 @@ def validate_machine(spec: MachineSpec) -> None:
             f"{where}: schema_version {spec.schema_version} != "
             f"supported {SCHEMA_VERSION}"
         )
-    n = len(spec.pus)
-    if n < 1:
-        raise MachineSpecError(f"{where}: needs at least one PU profile")
-    if n & (n - 1):
-        raise MachineSpecError(
-            f"{where}: PU count {n} is not a power of two (the ring "
-            "hop arithmetic and L1 bank scaling assume one)"
-        )
+    check_pu_count(len(spec.pus), where)
     if spec.ring_bandwidth is not None and spec.ring_bandwidth < 1:
         raise MachineSpecError(
             f"{where}: ring_bandwidth must be >= 1, "

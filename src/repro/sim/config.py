@@ -111,11 +111,9 @@ class SimConfig:
     max_cycles: int = 50_000_000
 
     #: cycle-loop implementation: "fast" (event-driven, skips
-    #: quiescent spans), "batched" (per-PU event spans + cohort
-    #: batching over cells sharing a workload), or "reference"
-    #: (uniform per-cycle tick).  Results are bit-identical; the
-    #: reference engine is the oracle the others are validated
-    #: against.
+    #: quiescent spans) or "reference" (uniform per-cycle tick).
+    #: Results are bit-identical; the reference engine is the oracle
+    #: the fast engine is validated against.
     engine: str = "fast"
 
     #: optional machine description: a preset name (resolved through
@@ -148,10 +146,9 @@ class SimConfig:
                 value = getattr(spec, attr)
                 if value is not None:
                     object.__setattr__(self, attr, value)
-        if self.engine not in ("fast", "batched", "reference"):
+        if self.engine not in ("fast", "reference"):
             raise ValueError(
-                "engine must be 'fast', 'batched' or 'reference', "
-                f"got {self.engine!r}"
+                f"engine must be 'fast' or 'reference', got {self.engine!r}"
             )
         if self.n_pus < 1:
             raise ValueError("n_pus must be >= 1")

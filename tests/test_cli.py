@@ -1,9 +1,14 @@
 """Tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -88,20 +93,26 @@ class TestParser:
         ["trace", "compress"],
         ["profile-sim", "compress"],
     ], ids=lambda c: c[0])
-    def test_engine_choices_include_batched(self, command):
-        args = build_parser().parse_args(command + ["--engine", "batched"])
-        assert args.engine == "batched"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(command + ["--engine", "warp"])
+    def test_engine_rejects_batched(self, command, capsys):
+        for engine in ("fast", "reference"):
+            args = build_parser().parse_args(command + ["--engine", engine])
+            assert args.engine == engine
+        for engine in ('batched', 'warp'):
+            with pytest.raises(SystemExit) as exc_info:
+                build_parser().parse_args(command + ["--engine", engine])
+            assert exc_info.value.code == 2
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if "error:" in line]
+            assert len(errors) == 1
+            assert f"invalid choice: '{engine}'" in errors[0]
 
-    def test_fuzz_extra_engines(self):
-        assert build_parser().parse_args(
-            ["fuzz", "--budget", "1"]).extra_engines is None
-        args = build_parser().parse_args(
-            ["fuzz", "--budget", "1",
-             "--engine", "batched", "--engine", "reference"]
-        )
-        assert args.extra_engines == ["batched", "reference"]
+    def test_fuzz_has_no_engine_option(self):
+        """Every fuzz cell runs on both engines; there is nothing to
+        choose."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["fuzz", "--budget", "1", "--engine", "reference"]
+            )
 
     def test_report_options(self):
         args = build_parser().parse_args(
@@ -139,14 +150,6 @@ class TestCommands:
     def test_run_in_order(self, capsys):
         assert main(["run", "compress", "--scale", "0.1", "--in-order"]) == 0
         assert "in-order" in capsys.readouterr().out
-
-    def test_run_batched_engine_output_matches_fast(self, capsys):
-        assert main(
-            ["run", "compress", "--scale", "0.1", "--engine", "batched"]
-        ) == 0
-        batched = capsys.readouterr().out
-        assert main(["run", "compress", "--scale", "0.1"]) == 0
-        assert batched == capsys.readouterr().out
 
     def test_figure5(self, capsys):
         assert main(
@@ -261,8 +264,11 @@ class TestCommands:
         assert [e["cache"] for e in entries[-3:]] == ["resume"] * 3
 
     def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exc_info:
             main(["run", "nonexistent", "--scale", "0.1"])
+        assert str(exc_info.value.code).startswith(
+            "repro run: unknown benchmark 'nonexistent'; known: "
+        )
 
     def test_trace_writes_valid_chrome_trace(self, capsys, tmp_path):
         from repro.telemetry import validate_chrome_trace_file
@@ -413,3 +419,70 @@ class TestServiceCLI:
             assert main(["fetch", spec_hash, "--url", url]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["record"]["benchmark"] == "compress"
+
+
+_BAD_INPUT = [
+    pytest.param(["run", "nosuch"],
+                 "repro run: unknown benchmark 'nosuch'; known: applu,",
+                 id="run-nosuch"),
+    pytest.param(["trace", "nosuch"],
+                 "repro trace: unknown benchmark 'nosuch'; known: applu,",
+                 id="trace-nosuch"),
+    pytest.param(["profile-sim", "nosuch"],
+                 "repro profile-sim: unknown benchmark 'nosuch'; known: "
+                 "applu,",
+                 id="profile-sim-nosuch"),
+    pytest.param(["verify", "nosuch"],
+                 "repro verify: unknown benchmark 'nosuch'; known: applu,",
+                 id="verify-nosuch"),
+    pytest.param(["figure5", "--benchmarks", "compress,nosuch"],
+                 "repro figure5: unknown benchmark 'nosuch'; known: applu,",
+                 id="figure5-nosuch"),
+    pytest.param(["run", "compress", "--scale", "0"],
+                 "repro run: error: argument --scale: invalid scale '0': "
+                 "must be a finite number > 0",
+                 id="scale-zero"),
+    pytest.param(["run", "compress", "--scale", "-1"],
+                 "repro run: error: argument --scale: invalid scale '-1': "
+                 "must be a finite number > 0",
+                 id="scale-negative"),
+    pytest.param(["table1", "--scale", "nan"],
+                 "repro table1: error: argument --scale: invalid scale "
+                 "'nan': must be a finite number > 0",
+                 id="scale-nan"),
+    pytest.param(["run", "compress", "--pus", "3"],
+                 "repro run: error: argument --pus: PU count 3 is not a "
+                 "power of two",
+                 id="pus-three"),
+    pytest.param(["breakdown", "--pus", "0"],
+                 "repro breakdown: error: argument --pus: needs at least "
+                 "one PU",
+                 id="pus-zero"),
+    pytest.param(['run', 'compress', '--engine', 'batched'],
+                 "repro run: error: argument --engine: invalid choice: "
+                 "'batched'",
+                 id="engine-batched"),
+]
+
+
+class TestInputBoundary:
+    """Bad input exits non-zero with one error line, no traceback."""
+
+    @pytest.mark.parametrize("argv,expected", _BAD_INPUT)
+    def test_bad_input_fails_with_one_line(self, argv, expected):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        errors = [line for line in lines if line.startswith("repro ")]
+        assert len(errors) == 1, proc.stderr
+        assert errors[0].startswith(expected), proc.stderr
+        # anything else is argparse's usage block
+        usage = [line for line in lines if line not in errors]
+        assert not usage or usage[0].startswith("usage: "), proc.stderr
