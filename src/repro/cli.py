@@ -27,19 +27,6 @@ Commands:
   (``--synth``: the synthetic-generator presets instead;
   ``--machines``: the machine-description presets with per-PU
   profiles; ``--json``: machine-readable).
-* ``serve`` — run the campaign service: an async job queue sharding
-  grid/fuzz submissions across worker processes behind an HTTP API
-  (SIGTERM drains: checkpoint, requeue, resume on restart).
-* ``chaos`` — seeded fault-injection campaign against an in-process
-  service; proves convergence to byte-identical results under
-  killed workers, hung shards, poison specs, journal write errors,
-  and cache corruption.
-* ``submit`` — submit a campaign to a running service
-  (``--wait`` polls until the job finishes and prints its report).
-* ``jobs`` — list a service's jobs (``--watch`` polls until the
-  queue drains).
-* ``fetch`` — fetch one cached run record from a service by its
-  spec hash.
 * ``gen`` — emit one seeded synthetic program as assembly text.
 * ``fuzz`` — differential fuzzing campaign: N generated programs
   × all four heuristic levels × both engines, cross-checked with
@@ -124,6 +111,25 @@ def _pus(text: str) -> int:
     return n_pus
 
 
+def _count(minimum: int):
+    """argparse type of a count option: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid count {text!r}: not an integer"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"invalid count {text!r}: must be >= {minimum}"
+            )
+        return value
+
+    return parse
+
+
 def _known(args: argparse.Namespace, names: List[str]) -> List[str]:
     """``names``, after a one-line exit on the first unknown one."""
     for name in names:
@@ -144,7 +150,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="comma-separated benchmark names (default: all)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=0,
+        "--jobs", type=_count(0), default=0,
         help="worker processes for the grid (default 0 = one per CPU)",
     )
     parser.add_argument(
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--in-order", action="store_true")
     ver_p.add_argument("--scale", type=_scale, default=1.0)
     ver_p.add_argument(
-        "--faults", type=int, default=0,
+        "--faults", type=_count(0), default=0,
         help="inject N seeded faults per cell to exercise recovery",
     )
     ver_p.add_argument("--seed", type=int, default=0,
@@ -312,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated engines to time (fast, reference; "
              "default: fast)",
     )
-    bench_p.add_argument("--jobs", type=int, default=1,
+    bench_p.add_argument("--jobs", type=_count(0), default=1,
                          help="harness workers (default 1, the "
                               "baseline's configuration)")
     bench_p.add_argument(
@@ -387,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--scale", type=_scale, default=1.0)
     prof_p.add_argument("--engine", choices=_ENGINES,
                         default="fast")
-    prof_p.add_argument("--top", type=int, default=25,
+    prof_p.add_argument("--top", type=_count(1), default=25,
                         help="number of hotspots to print (default 25)")
     prof_p.add_argument(
         "--sort", choices=["cumulative", "tottime"], default="cumulative",
@@ -453,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential fuzzing campaign over generated programs",
     )
     fuzz_p.add_argument(
-        "--budget", type=int, required=True,
+        "--budget", type=_count(1), required=True,
         help="number of programs to generate and cross-check",
     )
     fuzz_p.add_argument("--seed", type=int, default=1,
@@ -463,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="synth parameter preset (see 'repro list --synth')",
     )
     fuzz_p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_count(0), default=1,
         help="worker processes (default 1 = serial in-process; "
              "0 = one per CPU)",
     )
@@ -522,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune_p.add_argument("--seed", type=int, default=1,
                         help="campaign seed (default 1)")
     tune_p.add_argument(
-        "--jobs", type=int, default=0,
+        "--jobs", type=_count(0), default=0,
         help="worker processes per generation (default 0 = one per "
              "CPU; 1 = serial in-process)",
     )
@@ -577,113 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the campaign summary as JSON",
     )
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the campaign service (async job queue + HTTP API)",
-    )
-    serve_p.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=8753,
-                         help="HTTP port (default 8753; 0 = ephemeral)")
-    serve_p.add_argument("--workers", type=int, default=2,
-                         help="shard worker processes (default 2)")
-    serve_p.add_argument(
-        "--journal", default="",
-        help="journal directory (default: <cache root>/service); a "
-             "restarted server resumes unfinished jobs from it",
-    )
-    serve_p.add_argument(
-        "--executor", choices=["process", "thread", "inline"],
-        default="process",
-        help="worker pool flavour (default process)",
-    )
-    serve_p.add_argument(
-        "--max-queue-depth", type=int, default=64,
-        help="queued jobs admitted before POST /jobs answers 429 "
-             "with Retry-After (default 64)",
-    )
-    serve_p.add_argument(
-        "--request-timeout", type=float, default=30.0,
-        help="seconds an HTTP handler waits on the event loop before "
-             "answering 503 (default 30)",
-    )
-    serve_p.add_argument(
-        "--drain-grace", type=float, default=30.0,
-        help="seconds SIGTERM gives in-flight shards to finish "
-             "before checkpointing and requeueing them (default 30)",
-    )
-
-    chaos_p = sub.add_parser(
-        "chaos",
-        help="seeded chaos campaign against an in-process service",
-    )
-    chaos_p.add_argument(
-        "--budget", type=int, default=25,
-        help="minimum faults to inject before stopping (default 25)",
-    )
-    chaos_p.add_argument("--seed", type=int, default=1,
-                         help="fault schedule seed (default 1)")
-    chaos_p.add_argument("--workers", type=int, default=2,
-                         help="shard workers (default 2)")
-    chaos_p.add_argument(
-        "--max-rounds", type=int, default=12,
-        help="submission rounds before giving up on the fault "
-             "budget (default 12)",
-    )
-    chaos_p.add_argument(
-        "--root", default="",
-        help="directory for the campaign's cache + journal "
-             "(default: a private temp dir, removed afterwards)",
-    )
-    chaos_p.add_argument("--json", action="store_true",
-                         help="emit the report as JSON")
-
-    sub_p = sub.add_parser(
-        "submit",
-        help="submit a campaign to a running service",
-    )
-    sub_p.add_argument(
-        "grid",
-        help="campaign to submit: figure5, table1, breakdown, "
-             "centralized, scaling, fuzz, or ablation:<sweep>",
-    )
-    sub_p.add_argument("--url", default="http://127.0.0.1:8753",
-                       help="service base URL")
-    sub_p.add_argument("--benchmarks", default="",
-                       help="comma-separated benchmark names")
-    sub_p.add_argument("--scale", type=_scale, default=None,
-                       help="workload scale factor")
-    sub_p.add_argument("--levels", default="",
-                       help="comma-separated heuristic levels")
-    sub_p.add_argument("--budget", type=int, default=None,
-                       help="fuzz: number of programs")
-    sub_p.add_argument("--seed", type=int, default=None,
-                       help="fuzz: campaign seed")
-    sub_p.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="extra request parameter (JSON value; repeatable)",
-    )
-    sub_p.add_argument("--wait", action="store_true",
-                       help="poll until the job finishes, print its report")
-    sub_p.add_argument("--timeout", type=float, default=600.0,
-                       help="--wait timeout in seconds (default 600)")
-
-    jobs_p = sub.add_parser("jobs", help="list a service's jobs")
-    jobs_p.add_argument("--url", default="http://127.0.0.1:8753",
-                        help="service base URL")
-    jobs_p.add_argument("--watch", action="store_true",
-                        help="poll until no job is queued or running")
-    jobs_p.add_argument("--timeout", type=float, default=600.0,
-                        help="--watch timeout in seconds (default 600)")
-
-    fetch_p = sub.add_parser(
-        "fetch",
-        help="fetch one cached run record from a service by spec hash",
-    )
-    fetch_p.add_argument("spec_hash", help="RunSpec content hash")
-    fetch_p.add_argument("--url", default="http://127.0.0.1:8753",
-                         help="service base URL")
     return parser
 
 
@@ -1387,200 +1286,6 @@ def _cmd_list(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_serve(args: argparse.Namespace) -> str:
-    from repro.service import CampaignService
-
-    cache = ArtifactCache()
-    service = CampaignService(
-        cache=cache,
-        journal_root=args.journal or None,
-        host=args.host, port=args.port,
-        workers=args.workers, executor=args.executor,
-        max_queue_depth=args.max_queue_depth,
-        request_timeout=args.request_timeout,
-    )
-    service.start()
-    service.install_sigterm_drain(grace=args.drain_grace)
-    print("\n".join([
-        f"campaign service listening on {service.base_url}",
-        f"cache root : {cache.root}",
-        f"journal    : {service.journal.root}",
-        f"workers    : {args.workers} ({args.executor})",
-        f"resumed    : {service.resumed} job(s)",
-        "Ctrl-C to stop; SIGTERM to drain (journalled jobs resume "
-        "on restart)",
-    ]), flush=True)
-    service.serve_forever()
-    return "campaign service stopped"
-
-
-def _cmd_chaos(args: argparse.Namespace) -> str:
-    import json as _json
-
-    from repro.service.chaos import run_chaos_campaign
-
-    report = run_chaos_campaign(
-        budget=args.budget,
-        seed=args.seed,
-        root=args.root or None,
-        workers=args.workers,
-        max_rounds=args.max_rounds,
-        # progress goes to stderr under --json so stdout stays a
-        # single parseable document even when redirected to a file
-        progress=lambda line: print(
-            f"  {line}", flush=True,
-            file=sys.stderr if args.json else sys.stdout,
-        ),
-    )
-    if args.json:
-        from dataclasses import asdict
-
-        payload = asdict(report)
-        payload["ok"] = report.ok
-        out = _json.dumps(payload, indent=2, sort_keys=True)
-    else:
-        out = report.summary()
-    if not report.ok:
-        raise SystemExit(out)
-    return out
-
-
-def _submit_params(args: argparse.Namespace) -> dict:
-    import json as _json
-
-    params: dict = {}
-    if args.benchmarks:
-        params["benchmarks"] = [
-            n for n in args.benchmarks.split(",") if n
-        ]
-    if args.scale is not None:
-        params["scale"] = args.scale
-    if args.levels:
-        params["levels"] = [v for v in args.levels.split(",") if v]
-    if args.budget is not None:
-        params["budget"] = args.budget
-    if args.seed is not None:
-        params["seed"] = args.seed
-    for item in args.param:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise SystemExit(
-                f"repro submit: --param needs KEY=VALUE, got {item!r}"
-            )
-        try:
-            params[key] = _json.loads(value)
-        except ValueError:
-            params[key] = value
-    return params
-
-
-def _format_job_row(job: dict) -> str:
-    cells = job.get("cells") or 0
-    misses = job.get("misses")
-    hits = job.get("hits")
-    tally = ""
-    if misses is not None or hits is not None:
-        tally = f"  ran={misses or 0} cached={hits or 0}"
-    flag = " (resumed)" if job.get("resumed") else ""
-    return (
-        f"{job['job_id']:<36} {job['state']:<10} "
-        f"cells={cells}{tally}{flag}"
-    )
-
-
-def _cmd_submit(args: argparse.Namespace) -> str:
-    from repro.service import ServiceUnavailable, parse_grid_arg
-    from repro.service.client import ServiceClient, ServiceError
-
-    payload = parse_grid_arg(args.grid)
-    payload["params"].update(_submit_params(args))
-    client = ServiceClient(args.url)
-    try:
-        job = client.submit(payload["kind"], payload["params"])
-    except (ServiceError, ServiceUnavailable) as exc:
-        raise SystemExit(f"repro submit: {exc}")
-    lines = [_format_job_row(job)]
-    if not args.wait:
-        return "\n".join(lines)
-    try:
-        view = client.wait(job["job_id"], timeout=args.timeout)
-    except (TimeoutError, ServiceUnavailable) as exc:
-        raise SystemExit(f"repro submit: {exc}")
-    except KeyboardInterrupt:
-        # The job keeps running server-side; leaving the wait is not
-        # an error.  Point at the watch command and exit cleanly.
-        return "\n".join(lines + [
-            f"wait interrupted; job {job['job_id']} continues — "
-            f"check it with: repro jobs --url {args.url}",
-        ])
-    final = view["job"]
-    lines = [_format_job_row(final)]
-    if final["state"] != "done":
-        detail = final.get("error") or final["state"]
-        raise SystemExit("\n".join(lines + [f"repro submit: {detail}"]))
-    result = view.get("result") or {}
-    if "report" in result:
-        lines.append(result["report"])
-    return "\n".join(lines)
-
-
-def _cmd_jobs(args: argparse.Namespace) -> str:
-    import time as _time
-
-    from repro.service import ServiceUnavailable
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    deadline = _time.monotonic() + args.timeout
-    jobs: list = []
-    try:
-        while True:
-            try:
-                jobs = client.jobs()
-            except ServiceUnavailable as exc:
-                raise SystemExit(f"repro jobs: {exc}")
-            if not args.watch:
-                break
-            active = [
-                j for j in jobs if j["state"] in ("queued", "running")
-            ]
-            if not active:
-                break
-            if _time.monotonic() >= deadline:
-                raise SystemExit(
-                    f"repro jobs: {len(active)} job(s) still active "
-                    f"after {args.timeout:.0f}s"
-                )
-            _time.sleep(0.2)
-    except KeyboardInterrupt:
-        # Ctrl-C out of --watch is a normal way to stop looking, not
-        # an error: show the last snapshot and exit cleanly.
-        print("", flush=True)
-        if not jobs:
-            return "watch interrupted; no jobs"
-        return "\n".join(
-            ["watch interrupted; last snapshot:"]
-            + [_format_job_row(job) for job in jobs]
-        )
-    if not jobs:
-        return "no jobs"
-    return "\n".join(_format_job_row(job) for job in jobs)
-
-
-def _cmd_fetch(args: argparse.Namespace) -> str:
-    import json as _json
-
-    from repro.service import ServiceUnavailable
-    from repro.service.client import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        view = client.record(args.spec_hash)
-    except (ServiceError, ServiceUnavailable) as exc:
-        raise SystemExit(f"repro fetch: {exc}")
-    return _json.dumps(view, indent=2, sort_keys=True)
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "figure5": _cmd_figure5,
@@ -1598,11 +1303,6 @@ _COMMANDS = {
     "gen": _cmd_gen,
     "fuzz": _cmd_fuzz,
     "tune": _cmd_tune,
-    "serve": _cmd_serve,
-    "chaos": _cmd_chaos,
-    "submit": _cmd_submit,
-    "jobs": _cmd_jobs,
-    "fetch": _cmd_fetch,
 }
 
 

@@ -104,11 +104,9 @@ def figure5_specs(
 ) -> Tuple[List[Tuple[str, HeuristicLevel, ConfigKey]], List[RunSpec]]:
     """The grid's (keys, specs), in the canonical submission order.
 
-    This is the serialization boundary the campaign service shards
-    jobs on: the specs here *are* the grid, so any dispatcher that
-    executes them (in any order) and reads the records back by
-    content hash reconstructs exactly the grid ``run_figure5``
-    returns.
+    The specs here *are* the grid: :func:`run_figure5` runs them
+    through the harness and zips the aligned records back onto
+    ``keys``.
     """
     from repro.sim import SimConfig
 

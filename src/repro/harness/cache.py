@@ -65,13 +65,6 @@ def code_version() -> str:
     return _code_version_cache
 
 
-def _is_hex_hash(value: str) -> bool:
-    """True for a plausible lowercase-hex content hash (8..64 chars)."""
-    if not isinstance(value, str) or not 8 <= len(value) <= 64:
-        return False
-    return all(c in "0123456789abcdef" for c in value)
-
-
 def default_cache_root() -> Path:
     """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -196,18 +189,6 @@ class ArtifactCache:
 
     def get_record(self, spec: RunSpec):
         return self._load(self.records_dir / f"{spec.spec_hash(self.salt)}.pkl")
-
-    def get_record_by_hash(self, spec_hash: str):
-        """Load a finished record by its spec hash alone.
-
-        This is the service's read path: ``GET /records/<spec_hash>``
-        answers from the content-addressed store without rebuilding
-        the spec.  The hash is validated as lowercase hex so request
-        strings can never traverse outside ``records/``.
-        """
-        if not _is_hex_hash(spec_hash):
-            return None
-        return self._load(self.records_dir / f"{spec_hash}.pkl")
 
     def put_record(self, spec: RunSpec, record) -> None:
         self._store(

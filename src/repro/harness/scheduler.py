@@ -87,44 +87,6 @@ def execute_spec(spec: RunSpec) -> RunRecord:
     )
 
 
-def shard_specs(
-    specs: Sequence[RunSpec],
-    shards: int,
-    salt: str = "",
-) -> List[List[RunSpec]]:
-    """Partition specs into at most ``shards`` batches by content hash.
-
-    The shard of a spec is a pure function of its ``spec_hash``, so
-    any number of dispatchers (the campaign service's workers, or a
-    future multi-host fleet) agree on the placement without
-    coordination, and a resubmitted grid lands on the same shards —
-    which keeps per-shard ledgers and caches warm.  Empty shards are
-    dropped; order within a shard follows the input order.
-    """
-    if shards <= 0:
-        raise ValueError("shard_specs needs shards >= 1")
-    buckets: List[List[RunSpec]] = [[] for _ in range(shards)]
-    for spec in specs:
-        buckets[int(spec.spec_hash(salt), 16) % shards].append(spec)
-    return [bucket for bucket in buckets if bucket]
-
-
-def shard_deadline(n_specs: int, base: float = 30.0,
-                   per_spec: float = 10.0) -> float:
-    """Watchdog deadline (seconds) for a shard of ``n_specs`` cells.
-
-    Scales with the work the shard was handed: a shard that blows
-    past ``base + per_spec * n`` is treated as hung (worker deadlock,
-    OOM thrash, a runaway simulation) and retried on a fresh pool by
-    the campaign service's watchdog.  The linear model is deliberate —
-    cells are independent, so honest wall time grows at most linearly
-    in the shard size.
-    """
-    if n_specs < 0:
-        raise ValueError("shard_deadline needs n_specs >= 0")
-    return base + per_spec * n_specs
-
-
 def backoff_delay(attempt: int, base: float, cap: float = 30.0,
                   rng: Optional[random.Random] = None) -> float:
     """Full-jitter exponential backoff: uniform in [0, base * 2^attempt].

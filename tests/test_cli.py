@@ -106,6 +106,19 @@ class TestParser:
             assert len(errors) == 1
             assert f"invalid choice: '{engine}'" in errors[0]
 
+    @pytest.mark.parametrize(
+        "command", ["serve", "chaos", "submit", "jobs", "fetch"]
+    )
+    def test_removed_commands_are_gone(self, command, capsys):
+        """The campaign-service commands are unknown choices."""
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args([command])
+        assert exc_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert f"invalid choice: '{command}'" in errors[0]
+
     def test_fuzz_has_no_engine_option(self):
         """Every fuzz cell runs on both engines; there is nothing to
         choose."""
@@ -305,34 +318,7 @@ class TestCommands:
             main(["report", "no-such-file.json", "also-missing.json"])
 
 
-class TestServiceCLI:
-    def test_serve_parser_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 8753
-        assert args.workers == 2
-        assert args.journal == ""
-        assert args.executor == "process"
-
-    def test_submit_parser(self):
-        args = build_parser().parse_args(
-            ["submit", "figure5", "--benchmarks", "compress",
-             "--scale", "0.1", "--levels", "basic_block", "--wait",
-             "--param", "engine=\"fast\""]
-        )
-        assert args.grid == "figure5"
-        assert args.benchmarks == "compress"
-        assert args.scale == 0.1
-        assert args.wait
-        assert args.param == ['engine="fast"']
-
-    def test_jobs_and_fetch_parsers(self):
-        args = build_parser().parse_args(["jobs", "--watch"])
-        assert args.watch
-        assert args.url == "http://127.0.0.1:8753"
-        args = build_parser().parse_args(["fetch", "abc123"])
-        assert args.spec_hash == "abc123"
-
+class TestCacheAndListCLI:
     def test_cache_prune_parser(self):
         args = build_parser().parse_args(
             ["cache", "prune", "--max-bytes", "1024"]
@@ -379,47 +365,6 @@ class TestServiceCLI:
         sample = payload["presets"][0]
         assert "region_weights" in sample
 
-    def test_submit_unreachable_service_exits(self):
-        with pytest.raises(SystemExit, match="repro submit"):
-            main(["submit", "figure5", "--url", "http://127.0.0.1:9"])
-
-    def test_jobs_unreachable_service_exits(self):
-        with pytest.raises(SystemExit, match="repro jobs"):
-            main(["jobs", "--url", "http://127.0.0.1:9"])
-
-    def test_submit_and_fetch_against_live_service(self, capsys,
-                                                   tmp_path):
-        from repro.harness.cache import ArtifactCache
-        from repro.service import CampaignService
-
-        service = CampaignService(
-            cache=ArtifactCache(root=tmp_path / "cache"),
-            journal_root=tmp_path / "svc",
-            port=0, workers=2, executor="thread",
-        )
-        with service:
-            url = service.base_url
-            assert main(
-                ["submit", "figure5", "--url", url,
-                 "--benchmarks", "compress", "--scale", "0.05",
-                 "--levels", "basic_block", "--wait"]
-            ) == 0
-            out = capsys.readouterr().out
-            assert "done" in out
-            assert "Figure 5" in out
-            assert main(["jobs", "--url", url, "--watch"]) == 0
-            out = capsys.readouterr().out
-            assert "figure5-" in out and "done" in out
-            # fetch one record by the hash the ledger reports
-            from repro.service.client import ServiceClient
-
-            client = ServiceClient(url)
-            job_id = client.jobs()[0]["job_id"]
-            spec_hash = client.ledger_lines(job_id)[0]["spec_hash"]
-            assert main(["fetch", spec_hash, "--url", url]) == 0
-            payload = json.loads(capsys.readouterr().out)
-            assert payload["record"]["benchmark"] == "compress"
-
 
 _BAD_INPUT = [
     pytest.param(["run", "nosuch"],
@@ -462,6 +407,30 @@ _BAD_INPUT = [
                  "repro run: error: argument --engine: invalid choice: "
                  "'batched'",
                  id="engine-batched"),
+    pytest.param(["fuzz", "--budget", "-3"],
+                 "repro fuzz: error: argument --budget: invalid count "
+                 "'-3': must be >= 1",
+                 id="fuzz-budget-negative"),
+    pytest.param(["fuzz", "--budget", "0"],
+                 "repro fuzz: error: argument --budget: invalid count "
+                 "'0': must be >= 1",
+                 id="fuzz-budget-zero"),
+    pytest.param(["figure5", "--jobs", "-2"],
+                 "repro figure5: error: argument --jobs: invalid count "
+                 "'-2': must be >= 0",
+                 id="figure5-jobs-negative"),
+    pytest.param(["fuzz", "--budget", "1", "--jobs", "-1"],
+                 "repro fuzz: error: argument --jobs: invalid count "
+                 "'-1': must be >= 0",
+                 id="fuzz-jobs-negative"),
+    pytest.param(["verify", "compress", "--faults", "-1"],
+                 "repro verify: error: argument --faults: invalid count "
+                 "'-1': must be >= 0",
+                 id="verify-faults-negative"),
+    pytest.param(["profile-sim", "compress", "--top", "0"],
+                 "repro profile-sim: error: argument --top: invalid count "
+                 "'0': must be >= 1",
+                 id="profile-sim-top-zero"),
 ]
 
 
