@@ -14,6 +14,8 @@ under a task partition on a model of the paper's hardware
   dependence synchronisation table.
 * :class:`~repro.sim.machine.MultiscalarMachine` — sequencer, PUs,
   register ring, squash/retire logic, cycle accounting.
+* :mod:`~repro.sim.native` — the C cycle kernel behind hook-free
+  ``engine="fast"`` runs (built on first use, never at import).
 * :class:`~repro.sim.breakdown.CycleBreakdown` — the Figure 2 loss
   categories.
 """

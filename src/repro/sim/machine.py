@@ -26,7 +26,12 @@ Two engines share the phase logic (:meth:`MultiscalarMachine._tick`):
 
 * ``engine="reference"`` ticks every cycle — the original, obviously
   correct loop kept as the equivalence oracle.
-* ``engine="fast"`` (default) is event-driven: after a *quiescent*
+* ``engine="fast"`` (default) runs a hook-free machine (no monitor,
+  fault plan or tracer) in the native C kernel of
+  :mod:`repro.sim.native`, which ports these phases with the
+  reference engine's per-cycle semantics.  With a hook attached, or
+  when the kernel cannot be built, it runs the Python loop below,
+  which is event-driven: after a *quiescent*
   tick (no completion drained, nothing issued or fetched, no retire /
   assign / redirect progress) the machine asks every unit for its next
   possible event cycle — head of the completion heap, fetch resume,
@@ -37,8 +42,9 @@ Two engines share the phase logic (:meth:`MultiscalarMachine._tick`):
   before one of those events (every state transition in the model is
   caused by one), the fast engine produces bit-identical results;
   ``tests/test_fastpath.py`` enforces this cell-by-cell against the
-  reference engine.  Fault injection mutates per-cycle cooldown state,
-  so a machine with a fault plan attached never skips.
+  reference engine (through the kernel; ``tests/test_native.py`` keeps
+  the Python loop covered).  Fault injection mutates per-cycle
+  cooldown state, so a machine with a fault plan attached never skips.
 """
 
 from __future__ import annotations
@@ -635,6 +641,10 @@ class MultiscalarMachine:
             if self.tracer is not None:
                 self.tracer.on_finish(self, result)
             return result
+        # Imported here, not at module load: the kernel is built on
+        # the first run that needs it, never at ``import repro``.
+        from repro.sim import native
+
         # The cycle loop allocates only acyclic, reference-counted
         # garbage (tuples, small lists); the cyclic collector just
         # burns time re-scanning the trace arrays.  Pause it for the
@@ -644,6 +654,8 @@ class MultiscalarMachine:
         try:
             if self.config.engine == "reference":
                 cycles = self._run_reference()
+            elif self._hook_free() and native.available():
+                cycles = native.run(self)
             else:
                 cycles = self._run_fast()
         finally:
@@ -656,6 +668,13 @@ class MultiscalarMachine:
         if self.tracer is not None:
             self.tracer.on_finish(self, result)
         return result
+
+    def _hook_free(self) -> bool:
+        """True when no monitor, fault plan or tracer is attached."""
+        return (
+            self.monitor is None and self.faults is None
+            and self.tracer is None
+        )
 
     def _run_reference(self) -> int:
         """The original uniform per-cycle loop (equivalence oracle)."""

@@ -23,8 +23,10 @@ producers, after which the names are not needed at all.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
+from repro.compiler.task import TargetKind
 from repro.ir.instructions import OpClass, Opcode
 from repro.predict import GsharePredictor
 from repro.sim.config import ForwardPolicy
@@ -198,6 +200,21 @@ class PackedTrace:
         #: derived from so a caller supplying a different analysis
         #: object gets a fresh computation instead of a stale alias.
         self._release_cache: Dict[str, Tuple[Optional[object], bytearray]] = {}
+        #: fixed-width view for the native kernel, built on first use
+        self._kernel_view: Optional["KernelView"] = None
+
+    def __getstate__(self) -> dict:
+        # The kernel view is a cache derived from the fields above:
+        # leave it out of pickles (the harness artifact cache).
+        state = dict(self.__dict__)
+        state["_kernel_view"] = None
+        return state
+
+    def kernel_view(self) -> "KernelView":
+        """The flat fixed-width arrays the native kernel reads, cached."""
+        if self._kernel_view is None:
+            self._kernel_view = KernelView(self, self._stream)
+        return self._kernel_view
 
     def release_now(self, policy: ForwardPolicy, release=None) -> bytearray:
         """Per-instruction "forward at completion" flags for ``policy``.
@@ -246,3 +263,76 @@ class PackedTrace:
             ):
                 flags[i] = 1
         return flags
+
+
+#: successor kinds of a dynamic task in :class:`KernelView`
+KIND_NONE = 0  #: final task without a HALT target: nothing to predict
+KIND_BLOCK = 1  #: BLOCK or HALT target
+KIND_CALL = 2
+KIND_RETURN = 3
+
+_KIND_ID = {
+    TargetKind.BLOCK: KIND_BLOCK,
+    TargetKind.HALT: KIND_BLOCK,
+    TargetKind.CALL: KIND_CALL,
+    TargetKind.RETURN: KIND_RETURN,
+}
+
+
+class KernelView:
+    """Fixed-width copies of the list-typed packed fields, plus the
+    per-dynamic-task facts the sequencer reads, for the native kernel.
+
+    Per trace index: ``latency`` and ``mem_producer`` (``array('i')``)
+    and the register producers as ``prod_count`` (a ``bytearray``)
+    over ``prod_flat``, every tuple of :attr:`PackedTrace.producers`
+    concatenated (the kernel derives the offsets, and ``task_seq``
+    from the task spans, per run: that keeps this cache small).  Per
+    dynamic task: ``start``/``end``, ``root_pc`` (``array('q')``),
+    ``kind`` (``KIND_*``), ``target_index``, and the return address
+    stack items as interned ids — ``next_root`` (-2 when None) and,
+    for CALL targets, ``cont_root``, the continuation the call
+    pushes.  Two ids are equal exactly when the Python objects
+    compare equal, which is the comparison the Python sequencer makes.
+    """
+
+    def __init__(self, packed: PackedTrace, stream) -> None:
+        self.latency = array("i", packed.latency)
+        self.mem_producer = array("i", packed.mem_producer)
+        self.prod_count = bytearray(map(len, packed.producers))
+        self.prod_flat = array("i", chain.from_iterable(packed.producers))
+        if not self.prod_flat:
+            self.prod_flat.append(0)  # keep the buffer addressable
+
+        program = stream.partition.program
+        insts = stream.trace.insts
+        tasks = stream.tasks
+        n_tasks = len(tasks)
+        self.start = array("i", [dyn.start for dyn in tasks])
+        self.end = array("i", [dyn.end for dyn in tasks])
+        self.root_pc = array("q", bytes(8 * n_tasks))
+        self.kind = array("i", [KIND_NONE]) * n_tasks
+        self.target_index = array("i", [dyn.target_index for dyn in tasks])
+        self.next_root = array("i", [-2] * n_tasks)
+        self.cont_root = array("i", [-2] * n_tasks)
+        ids: Dict[object, int] = {}
+        intern = ids.setdefault
+        root_pcs: Dict[object, int] = {}
+        for seq, dyn in enumerate(tasks):
+            if dyn.next_root is not None:
+                self.next_root[seq] = intern(dyn.next_root, len(ids))
+            if dyn.target is None:
+                continue
+            kind = _KIND_ID[dyn.target.kind]
+            self.kind[seq] = kind
+            root = dyn.task.root
+            pc = root_pcs.get(root)
+            if pc is None:
+                pc = root_pcs[root] = program.block_pc(root)
+            self.root_pc[seq] = pc
+            if kind == KIND_CALL:
+                call_inst = insts[dyn.end - 1]
+                blk = program.block(call_inst.block)
+                assert blk.fallthrough is not None
+                cont = (call_inst.block[0], blk.fallthrough)
+                self.cont_root[seq] = intern(cont, len(ids))

@@ -76,11 +76,11 @@ class ProcessingUnit:
             value = getattr(profile, attr)
             return default if value is None else value
 
-        issue_width = _of("issue_width", config.issue_width)
-        fetch_width = _of("fetch_width", config.fetch_width)
+        self.issue_width = issue_width = _of("issue_width", config.issue_width)
+        self.fetch_width = fetch_width = _of("fetch_width", config.fetch_width)
         # Extra execution latency per opclass (OPCLASS_* order); the
         # all-zeros default adds nothing on the issue paths below.
-        lat_extra = (
+        self.lat_extra = lat_extra = (
             tuple(profile.lat_extra) if profile is not None else (0, 0, 0, 0)
         )
         # Per-run constants for the hot methods, bundled so each call
@@ -222,10 +222,6 @@ class ProcessingUnit:
         self.reset_idle()
         self.wrong = True
         self.assign_cycle = cycle
-
-    def charge(self, reason: StallReason, cycles: int = 1) -> None:
-        """Account ``cycles`` to ``reason`` in the task-local breakdown."""
-        self.local_counts[REASON_INDEX[reason]] += cycles
 
     # ---------------------------------------------------------- completions
 

@@ -7,7 +7,10 @@ full per-reason cycle breakdown — as the cycle-by-cycle reference
 loop.  These tests sweep every benchmark at every heuristic level,
 vary the machine shape and the forwarding policy, and run the
 reliability subsystem's fault sweeps against the fast engine, so a
-skip-logic bug cannot hide behind aggregate statistics.
+skip-logic bug cannot hide behind aggregate statistics.  Hook-free
+cells run the fast engine through the native kernel
+(``tests/test_native.py`` asserts it is built wherever a C compiler
+is); the fault sweeps carry hooks and run the Python loop.
 """
 
 import pytest
