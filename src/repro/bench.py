@@ -89,7 +89,7 @@ def git_commit() -> str:
 
 
 def kernel_of(engine: str) -> str:
-    """The cycle loop hook-free runs of ``engine`` take in this process."""
+    """The cycle loop fault-free runs of ``engine`` take in this process."""
     if engine != "fast":
         return "python"
     from repro.sim import native

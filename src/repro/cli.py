@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -128,6 +129,16 @@ def _count(minimum: int):
         return value
 
     return parse
+
+
+def _output_path(text: str) -> str:
+    """argparse type of an output file option: its directory exists."""
+    parent = os.path.dirname(text) or "."
+    if text and not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(
+            f"invalid path {text!r}: no directory {parent!r}"
+        )
+    return text
 
 
 def _known(args: argparse.Namespace, names: List[str]) -> List[str]:
@@ -221,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict to one PU count (default: 4 and 8)")
     fig_p.add_argument("--in-order", action="store_true",
                        help="in-order PUs only (default: both)")
-    fig_p.add_argument("--json", default="",
+    fig_p.add_argument("--json", type=_output_path, default="",
                        help="also write the record grid as JSON to this path")
 
     scal_p = sub.add_parser(
@@ -253,20 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine preset heuristic rankings are compared against "
              "(default: paper-4x2)",
     )
-    scal_p.add_argument("--json", default="",
+    scal_p.add_argument("--json", type=_output_path, default="",
                         help="also write the record grid as JSON to this "
                              "path")
 
     tab_p = sub.add_parser("table1", help="regenerate Table 1")
     _add_common(tab_p)
     tab_p.add_argument("--pus", type=_pus, default=8)
-    tab_p.add_argument("--json", default="",
+    tab_p.add_argument("--json", type=_output_path, default="",
                        help="also write the record grid as JSON to this path")
 
     brk_p = sub.add_parser("breakdown", help="Figure 2 cycle accounting")
     _add_common(brk_p)
     brk_p.add_argument("--pus", type=_pus, default=4)
-    brk_p.add_argument("--json", default="",
+    brk_p.add_argument("--json", type=_output_path, default="",
                        help="also write the record grid as JSON to this path")
 
     cen_p = sub.add_parser(
@@ -338,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge this run's measurements into the baseline file",
     )
     bench_p.add_argument(
-        "--json", default="",
+        "--json", type=_output_path, default="",
         help="also write this run's record to this path",
     )
 
@@ -356,14 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--scale", type=_scale, default=1.0)
     trace_p.add_argument("--engine", choices=_ENGINES,
                          default="fast",
-                         help="simulation core (identical event streams; "
-                              "fast adds cycle-skip diagnostics)")
-    trace_p.add_argument("-o", "--output", default="trace.json",
+                         help="simulation core (identical event streams)")
+    trace_p.add_argument("-o", "--output", type=_output_path,
+                         default="trace.json",
                          help="output path (default: trace.json)")
-    trace_p.add_argument(
-        "--no-engine-events", action="store_true",
-        help="omit the engine-local cycle-skip track",
-    )
 
     rep_p = sub.add_parser(
         "report",
@@ -450,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="synth parameter preset (see 'repro list --synth')",
     )
     gen_p.add_argument(
-        "-o", "--output", default="",
+        "-o", "--output", type=_output_path, default="",
         help="write the program here instead of stdout",
     )
 
@@ -825,10 +832,7 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         sim=_sim_for_engine(args.engine),
         tracer=collector,
     )
-    payload = write_chrome_trace(
-        args.output, collector,
-        include_engine_events=not args.no_engine_events,
-    )
+    payload = write_chrome_trace(args.output, collector)
     counts = collector.counts()
     tally = ", ".join(f"{kind}={n}" for kind, n in sorted(counts.items()))
     lines = [
@@ -837,11 +841,6 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         f"{record.dynamic_tasks} tasks",
         f"{len(collector.events)} lifecycle event(s) ({tally})",
     ]
-    if collector.engine_events and not args.no_engine_events:
-        lines.append(
-            f"{len(collector.engine_events)} fast-engine cycle skip(s) "
-            f"on the 'engine' track"
-        )
     lines.append(
         f"wrote {len(payload['traceEvents'])} trace event(s) to "
         f"{args.output} — open at https://ui.perfetto.dev "

@@ -4,8 +4,11 @@ The timing model's correctness story is squash-and-recover: control
 mispredictions and ARB memory-dependence violations throw away
 in-flight work and re-execute it.  End-to-end IPC numbers exercise
 those paths only incidentally; this monitor checks them *directly*,
-every cycle, via hooks the machine calls when a monitor is attached
-(``MultiscalarMachine(..., monitor=InvariantMonitor())``).
+via hooks the machine calls when a monitor is attached
+(``MultiscalarMachine(..., monitor=InvariantMonitor())``).  The
+reference loop calls them live; the native kernel logs each call with
+the values the hook reads and replays the log after the run, so the
+hooks take those values as arguments instead of reading the machine.
 
 Invariants enforced:
 
@@ -27,9 +30,9 @@ Invariants enforced:
 * **I6 — event-counter agreement**: misprediction / violation events
   observed through the hooks match the machine's reported counters.
 
-Violations raise :class:`InvariantViolation` immediately, pointing at
-the cycle and sequence number where the machine went wrong — far
-closer to the bug than a perturbed IPC figure.
+Violations raise :class:`InvariantViolation` from the hook call,
+pointing at the cycle and sequence number where the machine went
+wrong — far closer to the bug than a perturbed IPC figure.
 """
 
 from __future__ import annotations
@@ -79,11 +82,12 @@ class InvariantMonitor:
 
     # ---------------------------------------------------------- assignment
 
-    def on_assign(self, seq: int, pu_index: int, cycle: int) -> None:
+    def on_assign(self, seq: int, pu_index: int, cycle: int,
+                  retire_seq: int) -> None:
         self.checks += 1
         if seq in self._assign_cycle:
             self._fail("I3", f"task {seq} assigned while already in flight")
-        if seq < self.machine.retire_seq:
+        if seq < retire_seq:
             self._fail("I1", f"task {seq} assigned after retirement")
         self._assign_cycle[seq] = cycle
 
@@ -101,11 +105,12 @@ class InvariantMonitor:
             self.injected_violations += 1
 
     def on_squash_victim(
-        self, seq: int, pu_index: int, cycle: int, penalty: int, memory: bool
+        self, seq: int, pu_index: int, cycle: int, penalty: int,
+        memory: bool, retire_seq: int,
     ) -> None:
         """One in-flight task is being squashed and its penalty charged."""
         self.checks += 1
-        if seq < self.machine.retire_seq:
+        if seq < retire_seq:
             self._fail("I3", f"squash reached retired task {seq}")
         assigned = self._assign_cycle.pop(seq, None)
         if assigned is None:
@@ -139,16 +144,21 @@ class InvariantMonitor:
             )
         self.control_penalty += penalty
 
-    def post_squash(self, first_seq: int, cycle: int) -> None:
-        """Called after ``_squash_from`` finished; check I3 postconditions."""
+    def post_squash(self, first_seq: int, cycle: int, survivor: int,
+                    next_seq: int, stale_pu: int, stale_seq: int) -> None:
+        """A squash from ``first_seq`` finished; check I3 postconditions.
+
+        The machine reports what it observed afterwards: the lowest
+        in-flight seq >= ``first_seq`` (``survivor``), its sequencer's
+        ``next_seq``, and the first PU still holding a task >=
+        ``first_seq`` with that task (-1s where there is none).
+        """
         self.checks += 1
-        machine = self.machine
-        alive = sorted(s for s in machine.in_flight if s >= first_seq)
-        if alive:
+        if survivor >= 0:
             self._fail(
                 "I3",
                 f"squash from seq {first_seq} at cycle {cycle} left "
-                f"{alive} in flight",
+                f"task {survivor} in flight",
             )
         shadow = sorted(s for s in self._assign_cycle if s >= first_seq)
         if shadow:
@@ -156,18 +166,16 @@ class InvariantMonitor:
                 "I3",
                 f"squash from seq {first_seq} left shadow occupancy {shadow}",
             )
-        if machine.next_seq > first_seq:
+        if next_seq > first_seq:
             self._fail(
                 "I3",
-                f"sequencer not rewound: next_seq {machine.next_seq} > "
+                f"sequencer not rewound: next_seq {next_seq} > "
                 f"squash point {first_seq}",
             )
-        for pu in machine.pus:
-            if pu.dyn_task is not None and pu.seq >= first_seq:
-                self._fail(
-                    "I3",
-                    f"PU {pu.index} still holds squashed task {pu.seq}",
-                )
+        if stale_pu >= 0:
+            self._fail(
+                "I3", f"PU {stale_pu} still holds squashed task {stale_seq}"
+            )
 
     # -------------------------------------------------------------- retire
 

@@ -169,7 +169,8 @@ def verify_grid(
     by ``seed`` and the cell's position, so different cells inject
     different (but reproducible) schedules.  ``engine`` selects the
     simulation core under test ("fast" by default, so the oracle and
-    the invariant monitors exercise the event-driven engine).
+    the invariant monitors exercise the native kernel; a fault plan
+    sends the run to the reference loop).
     """
     sim = None if engine == "fast" else SimConfig(engine=engine)
     names = list(benchmarks) or [bm.name for bm in all_benchmarks()]

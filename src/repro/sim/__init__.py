@@ -14,7 +14,7 @@ under a task partition on a model of the paper's hardware
   dependence synchronisation table.
 * :class:`~repro.sim.machine.MultiscalarMachine` — sequencer, PUs,
   register ring, squash/retire logic, cycle accounting.
-* :mod:`~repro.sim.native` — the C cycle kernel behind hook-free
+* :mod:`~repro.sim.native` — the C cycle kernel behind
   ``engine="fast"`` runs (built on first use, never at import).
 * :class:`~repro.sim.breakdown.CycleBreakdown` — the Figure 2 loss
   categories.

@@ -1,14 +1,19 @@
 /*
  * Native cycle loop of the Multiscalar machine (see repro/sim/native.py).
  *
- * One call of ms_run() simulates one hook-free machine run with the
- * per-cycle semantics of MultiscalarMachine._tick in machine.py, the
+ * One call of ms_run() simulates one machine run with the per-cycle
+ * semantics of MultiscalarMachine._tick in machine.py, the
  * ProcessingUnit methods in pu.py, the caches in memory.py and the
  * task predictors in repro/predict: phases A-D every cycle, in the
  * same PU order, touching the caches, the sync table and the
  * predictors in the same order, so every counter it returns equals
- * the Python engines' bit for bit.  Issue runs every cycle (no memo)
+ * the reference loop's bit for bit.  Issue runs every cycle (no memo)
  * and no cycle is skipped.
+ *
+ * With log_events set (a monitor or tracer is attached) every hook
+ * call of machine.py becomes one EV_WIDTH-word record in an event
+ * log, in hook order, which the loader replays into the hooks after
+ * the run.
  *
  * Plain C99 with no Python headers: the loader opens the shared
  * object with ctypes, and the input and output structs below are
@@ -38,6 +43,28 @@ enum { P_PATH = 0, P_GSHARE = 1, P_HYBRID = 2 };
 
 /* Return codes of ms_run. */
 enum { MS_OK = 0, MS_MAX_CYCLES = 1, MS_LIVELOCK = 2, MS_NOMEM = 3 };
+
+/* Event log records: the kind, then up to seven arguments (unused
+ * ones 0), mirrored by the replay in native.py:
+ *   EV_ASSIGN            seq, pu, cycle, retire_seq
+ *   EV_WRONG_ASSIGN      pu, cycle
+ *   EV_TASK_MISPREDICT   seq, cycle
+ *   EV_BRANCH_MISPREDICT seq, trace idx, cycle, pu
+ *   EV_ARB_VIOLATION     seq, cycle
+ *   EV_SQUASH            seq, pu, cycle, penalty, memory, first_issue,
+ *                        retire_seq
+ *   EV_WRONG_SQUASH      pu, cycle, penalty
+ *   EV_POST_SQUASH       first_seq, cycle, lowest surviving in-flight
+ *                        seq >= first_seq (-1: none), next_seq, first
+ *                        PU still holding such a seq (-1: none), its seq
+ *   EV_COMMIT            seq, pu, cycle
+ *   EV_RETIRE            seq, pu, cycle, first_issue, done cycle */
+enum {
+    EV_ASSIGN, EV_WRONG_ASSIGN, EV_TASK_MISPREDICT, EV_BRANCH_MISPREDICT,
+    EV_ARB_VIOLATION, EV_SQUASH, EV_WRONG_SQUASH, EV_POST_SQUASH,
+    EV_COMMIT, EV_RETIRE
+};
+#define EV_WIDTH 8
 
 /* Predictor geometry: the defaults make_task_predictor() builds. */
 #define PRED_BITS 16
@@ -78,6 +105,10 @@ typedef struct {
     /* outputs sized by the caller */
     int32_t *pu_of_seq;                 /* n_tasks */
     int64_t *pu_useful, *pu_occupied;   /* n_pus */
+    /* hooked runs: record the event log; final completion cycles (n),
+     * or NULL */
+    int64_t log_events;
+    int64_t *complete_out;
 } ms_in;
 
 typedef struct {
@@ -88,9 +119,12 @@ typedef struct {
     int64_t reasons[N_REASONS];
     int64_t span_accum, control_penalty, memory_penalty;
     int64_t l1d_hits, l1d_misses, l1i_hits, l1i_misses, l2_hits, l2_misses;
-    /* squash depths in squash order; release with ms_free() */
+    /* squash depths in squash order, and the event log (n_events
+     * records of EV_WIDTH words); release both with ms_free() */
     int64_t *squash_depths;
     int64_t n_squash_depths;
+    int64_t *events;
+    int64_t n_events;
 } ms_out;
 
 /* ------------------------------------------------------------ helpers */
@@ -174,6 +208,7 @@ typedef struct {
     int64_t start, end;           /* trace span of the task */
     int64_t fetch_ptr, fetch_resume, pending_branch;
     int64_t rob_count, remaining, arb_used;
+    int64_t first_issue, done_cycle;    /* -1: not yet */
     /* unissued window in program order: (trace idx, fetch cycle) */
     int32_t *win_idx;
     int64_t *win_fc;
@@ -232,6 +267,10 @@ typedef struct {
     /* squash depths */
     int64_t *depths;
     int64_t n_depths, depths_cap;
+    /* event log; assigned_hi bounds every seq ever assigned */
+    int log;
+    int64_t *ev;
+    int64_t n_ev, ev_cap, assigned_hi;
     /* stores completed by one drain */
     int64_t *stores;
     int nomem;
@@ -247,6 +286,7 @@ static void pu_reset(pu_t *pu)
     pu->fetch_ptr = pu->fetch_resume = 0;
     pu->pending_branch = -1;
     pu->rob_count = pu->remaining = pu->arb_used = 0;
+    pu->first_issue = pu->done_cycle = -1;
     pu->n_win = 0;
     pu->mem_lo = pu->mem_hi = 0;
     pu->heap_n = 0;
@@ -313,6 +353,26 @@ static int32_t heap_pop(pu_t *pu)
         }
     }
     return top;
+}
+
+/* ---------------------------------------------------------- event log */
+
+/* Append one record when the run logs events (no-op otherwise). */
+static void emit(machine_t *m, int64_t kind, int64_t a, int64_t b, int64_t c,
+                 int64_t d, int64_t e, int64_t f, int64_t g)
+{
+    if (!m->log)
+        return;
+    if (m->n_ev == m->ev_cap) {
+        int64_t cap = m->ev_cap ? 2 * m->ev_cap : 1024;
+        int64_t *ev = realloc(m->ev, (size_t)(cap * EV_WIDTH) * sizeof(int64_t));
+        if (ev == NULL) { m->nomem = 1; return; }
+        m->ev = ev;
+        m->ev_cap = cap;
+    }
+    int64_t *r = m->ev + m->n_ev++ * EV_WIDTH;
+    r[0] = kind; r[1] = a; r[2] = b; r[3] = c;
+    r[4] = d; r[5] = e; r[6] = f; r[7] = g;
 }
 
 /* ----------------------------------------------------------- services */
@@ -508,7 +568,10 @@ static void squash_wrong(machine_t *m, int64_t cycle)
         pu_t *pu = &m->pus[i];
         if (pu->wrong) {
             int64_t penalty = cycle - pu->assign_cycle;
-            m->out->control_penalty += penalty > 0 ? penalty : 0;
+            if (penalty < 0)
+                penalty = 0;
+            m->out->control_penalty += penalty;
+            emit(m, EV_WRONG_SQUASH, i, cycle, penalty, 0, 0, 0, 0);
             pu_reset(pu);
         }
     }
@@ -548,6 +611,8 @@ static void squash_from(machine_t *m, int64_t first_seq, int64_t cycle,
             m->out->memory_penalty += penalty;
         else
             m->out->control_penalty += penalty;
+        emit(m, EV_SQUASH, s, p, cycle, penalty, memory, pu->first_issue,
+             m->retire_seq);
         int64_t start = in->task_start[s], end = in->task_end[s];
         m->active_span -= end - start;
         for (int64_t i = start; i < end; i++) {
@@ -568,6 +633,20 @@ static void squash_from(machine_t *m, int64_t first_seq, int64_t cycle,
         m->next_assign_pu = 0;
     if (m->resume_cycle < cycle + 1)
         m->resume_cycle = cycle + 1;
+    if (m->log) {
+        /* the I3 observations _squash_from in machine.py makes */
+        int64_t survivor = -1, stale_pu = -1, stale_seq = -1;
+        for (int64_t s = lo; s < m->assigned_hi && survivor < 0; s++)
+            if (m->inflight_pu[s] >= 0)
+                survivor = s;
+        for (int64_t i = 0; i < m->n_pus && stale_pu < 0; i++)
+            if (m->pus[i].has_task && m->pus[i].seq >= first_seq) {
+                stale_pu = i;
+                stale_seq = m->pus[i].seq;
+            }
+        emit(m, EV_POST_SQUASH, first_seq, cycle, survivor, m->next_seq,
+             stale_pu, stale_seq, 0);
+    }
 }
 
 static void check_store_violation(machine_t *m, int64_t store_idx,
@@ -592,6 +671,7 @@ static void check_store_violation(machine_t *m, int64_t store_idx,
     if (victim < 0)
         return;
     m->out->memory_squashes++;
+    emit(m, EV_ARB_VIOLATION, victim, cycle, 0, 0, 0, 0, 0);
     learn_sync(m, store_idx, victim_load);
     squash_from(m, victim, cycle, 1);
 }
@@ -695,6 +775,7 @@ static void predict_successor(machine_t *m, int64_t seq)
         m->out->task_mispredictions++;
         m->pending_mispredict = seq;
         m->out->control_squashes++;
+        emit(m, EV_TASK_MISPREDICT, seq, m->cycle, 0, 0, 0, 0, 0);
     }
 }
 
@@ -732,6 +813,7 @@ static int drain_completions(machine_t *m, pu_t *pu, int64_t cycle,
     if (!pu->done && pu->has_task && pu->remaining == 0
         && pu->fetch_ptr >= pu->end) {
         pu->done = 1;
+        pu->done_cycle = cycle;
         if (in->forward_policy == FP_LAZY)
             forward_all_writes(m, pu, cycle);
     }
@@ -766,6 +848,8 @@ static int fetch(machine_t *m, pu_t *pu, int64_t cycle)
         if (in->is_cond_branch[idx] && in->gshare_mispred[idx]) {
             pu->pending_branch = idx;
             pu->fetch_resume = NEVER;
+            emit(m, EV_BRANCH_MISPREDICT, pu->seq, idx, cycle, pu->index,
+                 0, 0, 0);
             break;
         }
         if (pu->fetch_resume > cycle)
@@ -774,6 +858,7 @@ static int fetch(machine_t *m, pu_t *pu, int64_t cycle)
     if (!pu->done && pu->remaining == 0 && pu->fetch_ptr >= end
         && pu->rob_count == 0) {
         pu->done = 1;
+        pu->done_cycle = cycle;
         if (in->forward_policy == FP_LAZY)
             forward_all_writes(m, pu, cycle);
     }
@@ -929,6 +1014,8 @@ static int64_t issue(machine_t *m, pu_t *pu, int64_t cycle, int *reason)
     }
     pu->issue_wake = issue_wake;
     if (issued) {
+        if (pu->first_issue < 0)
+            pu->first_issue = cycle;
         pu->mem_lo += issued_mem;
         int64_t w = 0;
         for (int64_t r = 0; r < pu->n_win; r++) {
@@ -945,8 +1032,9 @@ static int64_t issue(machine_t *m, pu_t *pu, int64_t cycle, int *reason)
     return 0;
 }
 
-/* Earliest cycle >= t this PU could act (ProcessingUnit.next_event_cycle),
- * consulted only after a quiescent cycle, for the livelock guard. */
+/* Earliest cycle >= t this PU could act: the next completion, fetch
+ * resume, ring-forward arrival or task-start boundary.  Consulted only
+ * after a quiescent cycle, for the livelock guard. */
 static int64_t pu_next_event(const machine_t *m, const pu_t *pu, int64_t t)
 {
     if (pu->done)
@@ -1001,6 +1089,8 @@ static int retire(machine_t *m, int64_t cycle)
         int64_t seq = pu->seq;
         m->active_span -= in->task_end[seq] - in->task_start[seq];
         m->inflight_pu[seq] = -1;
+        emit(m, EV_RETIRE, seq, pu->index, cycle, pu->first_issue,
+             pu->done_cycle, 0, 0);
         pu_reset(pu);
         m->retire_seq++;
         m->retiring_pu = -1;
@@ -1014,6 +1104,7 @@ static int retire(machine_t *m, int64_t cycle)
             pu->retiring = 1;
             m->retiring_pu = p;
             m->retire_finish = cycle + in->task_end_overhead;
+            emit(m, EV_COMMIT, pu->seq, p, cycle, 0, 0, 0, 0);
             active = 1;
         }
     }
@@ -1028,6 +1119,7 @@ static int assign(machine_t *m, int64_t cycle)
         pu_reset(pu);
         pu->wrong = 1;
         pu->assign_cycle = cycle;
+        emit(m, EV_WRONG_ASSIGN, pu->index, cycle, 0, 0, 0, 0, 0);
         m->next_assign_pu = (m->next_assign_pu + 1) % m->n_pus;
         return 1;
     }
@@ -1036,6 +1128,9 @@ static int assign(machine_t *m, int64_t cycle)
     int64_t seq = m->next_seq;
     pu_assign(m, pu, seq, cycle);
     m->inflight_pu[seq] = pu->index;
+    emit(m, EV_ASSIGN, seq, pu->index, cycle, m->retire_seq, 0, 0, 0);
+    if (seq >= m->assigned_hi)
+        m->assigned_hi = seq + 1;
     m->active_span += in->task_end[seq] - in->task_start[seq];
     m->next_seq++;
     m->next_assign_pu = (m->next_assign_pu + 1) % m->n_pus;
@@ -1195,6 +1290,7 @@ static int machine_init(machine_t *m, const ms_in *in, ms_out *out)
     size_t nn = (size_t)(n > 0 ? n : 1);
     m->in = in;
     m->out = out;
+    m->log = in->log_events != 0;
     m->n_pus = in->n_pus;
     m->retiring_pu = -1;
     m->retire_finish = -1;
@@ -1307,6 +1403,10 @@ int64_t ms_run(const ms_in *in, ms_out *out)
     out->l2_misses = m.l2.misses;
     out->squash_depths = m.depths;
     out->n_squash_depths = m.n_depths;
+    out->events = m.ev;
+    out->n_events = m.n_ev;
+    if (in->complete_out != NULL && m.complete != NULL)
+        memcpy(in->complete_out, m.complete, (size_t)in->n * sizeof(int64_t));
     machine_free(&m);
     return status;
 }
@@ -1314,6 +1414,8 @@ int64_t ms_run(const ms_in *in, ms_out *out)
 void ms_free(ms_out *out)
 {
     free(out->squash_depths);
+    free(out->events);
     out->squash_depths = NULL;
-    out->n_squash_depths = 0;
+    out->events = NULL;
+    out->n_squash_depths = out->n_events = 0;
 }

@@ -110,10 +110,11 @@ class SimConfig:
     #: safety valve: abort runs exceeding this many cycles
     max_cycles: int = 50_000_000
 
-    #: cycle-loop implementation: "fast" (event-driven, skips
-    #: quiescent spans) or "reference" (uniform per-cycle tick).
-    #: Results are bit-identical; the reference engine is the oracle
-    #: the fast engine is validated against.
+    #: cycle-loop implementation: "fast" (the native C kernel; the
+    #: reference loop for fault-plan runs or without a C compiler) or
+    #: "reference" (the Python per-cycle tick).  Results are
+    #: bit-identical; the reference engine is the oracle the kernel
+    #: is validated against.
     engine: str = "fast"
 
     #: optional machine description: a preset name (resolved through

@@ -22,29 +22,19 @@ The simulation is trace-driven: squashed work re-executes the same
 dynamic instructions at later cycles; committed instruction count
 equals the trace length exactly once.
 
-Two engines share the phase logic (:meth:`MultiscalarMachine._tick`):
+Two loops run these phases:
 
-* ``engine="reference"`` ticks every cycle — the original, obviously
-  correct loop kept as the equivalence oracle.
-* ``engine="fast"`` (default) runs a hook-free machine (no monitor,
-  fault plan or tracer) in the native C kernel of
+* ``engine="reference"`` calls :meth:`MultiscalarMachine._tick` every
+  cycle — the obviously correct loop kept as the equivalence oracle.
+  It also runs fault-plan runs (the plan counts per-cycle cooldowns)
+  and every run on a host where the kernel cannot be built.
+* ``engine="fast"`` (default) runs in the native C kernel of
   :mod:`repro.sim.native`, which ports these phases with the
-  reference engine's per-cycle semantics.  With a hook attached, or
-  when the kernel cannot be built, it runs the Python loop below,
-  which is event-driven: after a *quiescent*
-  tick (no completion drained, nothing issued or fetched, no retire /
-  assign / redirect progress) the machine asks every unit for its next
-  possible event cycle — head of the completion heap, fetch resume,
-  scheduled ring-forward arrival, task-start boundary, retire finish,
-  sequencer resume — jumps straight to the minimum, and bulk-charges
-  the skipped cycles to the stall category each PU was accumulating.
-  Because a quiescent cycle's blocking state provably cannot change
-  before one of those events (every state transition in the model is
-  caused by one), the fast engine produces bit-identical results;
-  ``tests/test_fastpath.py`` enforces this cell-by-cell against the
-  reference engine (through the kernel; ``tests/test_native.py`` keeps
-  the Python loop covered).  Fault injection mutates per-cycle
-  cooldown state, so a machine with a fault plan attached never skips.
+  reference loop's per-cycle semantics.  A monitor or tracer attached
+  to a fast run is fed afterwards from the kernel's event log, hook
+  call for hook call; ``tests/test_fastpath.py``,
+  ``tests/test_native.py`` and ``tests/test_telemetry.py`` hold the two
+  loops to identical results and event streams.
 """
 
 from __future__ import annotations
@@ -128,7 +118,7 @@ class SimResult:
 class SimulationStuck(RuntimeError):
     """The cycle loop cannot make progress (a model bug guard).
 
-    Raised when ``max_cycles`` is exceeded, or — fast engine only —
+    Raised when ``max_cycles`` is exceeded, or — native kernel only —
     when no unit reports a future event while unretired tasks remain.
     The message carries the workload label, engine, retire progress
     and current cycle so a stuck grid cell is diagnosable from the
@@ -296,7 +286,7 @@ class MultiscalarMachine:
                 self.breakdown.charge_control_squash(penalty)
             if self.monitor is not None:
                 self.monitor.on_squash_victim(
-                    seq, pu.index, cycle, penalty, memory
+                    seq, pu.index, cycle, penalty, memory, self.retire_seq
                 )
             if self.tracer is not None:
                 self.tracer.on_squash(
@@ -316,7 +306,15 @@ class MultiscalarMachine:
             self.next_assign_pu = 0
         self.resume_cycle = max(self.resume_cycle, cycle + 1)
         if self.monitor is not None:
-            self.monitor.post_squash(first_seq, cycle)
+            # The I3 observations; the kernel logs the same ones.
+            stale = [pu for pu in self.pus
+                     if pu.dyn_task is not None and pu.seq >= first_seq]
+            self.monitor.post_squash(
+                first_seq, cycle,
+                min((s for s in self.in_flight if s >= first_seq), default=-1),
+                self.next_seq,
+                stale[0].index if stale else -1, stale[0].seq if stale else -1,
+            )
 
     def _squash_wrong(self, cycle: int) -> None:
         self._mut_version += 1
@@ -408,13 +406,13 @@ class MultiscalarMachine:
             if self.tracer is not None:
                 self.tracer.on_task_mispredict(seq, cycle)
 
-    def _assign(self, cycle: int) -> bool:
-        """Phase C; returns True when a PU was occupied this cycle."""
+    def _assign(self, cycle: int) -> None:
+        """Phase C: occupy the next PU around the ring, if it is free."""
         if cycle < self.resume_cycle:
-            return False
+            return
         pu = self.pus[self.next_assign_pu]
         if not pu.idle:
-            return False
+            return
         if self.pending_mispredict is not None:
             pu.assign_wrong(cycle)
             if self.monitor is not None:
@@ -422,9 +420,9 @@ class MultiscalarMachine:
             if self.tracer is not None:
                 self.tracer.on_wrong_assign(pu.index, cycle)
             self.next_assign_pu = (self.next_assign_pu + 1) % self.config.n_pus
-            return True
+            return
         if self.next_seq >= len(self.stream.tasks):
-            return False
+            return
         # No version bump: a fresh assignment changes nothing another
         # PU's blocked-issue computation reads (pu_of_seq of a task is
         # only consulted once that task has completed values, which
@@ -435,23 +433,21 @@ class MultiscalarMachine:
         pu.assign(dyn, cycle)
         self.in_flight[seq] = pu
         if self.monitor is not None:
-            self.monitor.on_assign(seq, pu.index, cycle)
+            self.monitor.on_assign(seq, pu.index, cycle, self.retire_seq)
         if self.tracer is not None:
             self.tracer.on_assign(seq, pu.index, cycle)
         self._active_span += dyn.length
         self.next_seq += 1
         self.next_assign_pu = (self.next_assign_pu + 1) % self.config.n_pus
         self._predict_successor(seq, cycle)
-        return True
 
     # --------------------------------------------------------------- retire
 
-    def _retire(self, cycle: int) -> bool:
-        """Phase B; returns True when a retire completed or started."""
-        active = False
+    def _retire(self, cycle: int) -> None:
+        """Phase B: finish the committing task, start the next commit."""
         if self._retiring_pu is not None:
             if cycle < self._retire_finish:
-                return False
+                return
             pu = self._retiring_pu
             accum = self._reason_accum
             occupied = 0
@@ -475,7 +471,6 @@ class MultiscalarMachine:
             self.retire_seq += 1
             self._retiring_pu = None
             self._retire_version += 1
-            active = True
         pu = self.in_flight.get(self.retire_seq)
         if pu is not None and pu.done:
             pu.local_counts[_R_TASK_END] += self.config.task_end_overhead
@@ -484,22 +479,12 @@ class MultiscalarMachine:
             self._retire_finish = cycle + self.config.task_end_overhead
             if self.tracer is not None:
                 self.tracer.on_commit_start(pu.seq, pu.index, cycle)
-            active = True
-        return active
 
     # ------------------------------------------------------------- run loop
 
-    def _tick(self, cycle: int) -> bool:
-        """Run phases A–D for one cycle; True when anything progressed.
-
-        "Progress" means: an instruction completed, a misprediction
-        resolved, a retire started or finished, a PU was assigned,
-        or anything issued or fetched.  A False return certifies the
-        machine was quiescent, which is what licenses the fast engine
-        to consult :meth:`ProcessingUnit.next_event_cycle` and skip.
-        """
+    def _tick(self, cycle: int) -> None:
+        """Run phases A–D for one cycle."""
         config = self.config
-        active = False
         pus = self.pus
         # Phase A: completions (+ violation checks, + control resolve).
         for pu in pus:
@@ -514,11 +499,7 @@ class MultiscalarMachine:
                 # thing drain does) needs remaining == 0 AND a finished
                 # fetch stream.
                 continue
-            stores, popped, global_event, cross_popped = (
-                pu.drain_completions(cycle)
-            )
-            if popped:
-                active = True
+            stores, global_event, cross_popped = pu.drain_completions(cycle)
             if global_event:
                 self._mut_version += 1
             if cross_popped:
@@ -538,7 +519,6 @@ class MultiscalarMachine:
         if self.pending_mispredict is not None:
             src = self.in_flight.get(self.pending_mispredict)
             if src is not None and src.done:
-                active = True
                 self._squash_wrong(cycle)
                 self.next_assign_pu = (
                     self.state.pu_of_seq[self.pending_mispredict] + 1
@@ -552,17 +532,16 @@ class MultiscalarMachine:
             self._inject_memory_fault(cycle)
         # Phase B: retire.
         if self._retiring_pu is not None:
-            if self._retire(cycle):
-                active = True
+            self._retire(cycle)
         else:
             head = self.in_flight.get(self.retire_seq)
-            if head is not None and head.done and self._retire(cycle):
-                active = True
+            if head is not None and head.done:
+                self._retire(cycle)
         # Phase C: assign.
         if cycle >= self.resume_cycle:
             nxt = pus[self.next_assign_pu]
-            if nxt.dyn_task is None and not nxt.wrong and self._assign(cycle):
-                active = True
+            if nxt.dyn_task is None and not nxt.wrong:
+                self._assign(cycle)
         # Phase D: execute + accounting.
         task_start_overhead, rob_size, lazy_fp = self._tick_consts
         mut_version = self._mut_version
@@ -610,17 +589,16 @@ class MultiscalarMachine:
                 and pu.fetch_ptr < pu.fetch_end
                 and pu.rob_count < rob_size
                 and pu.fetch(cycle)
+                and lazy_fp
+                and pu.done
             ):
-                active = True
-                if lazy_fp and pu.done:
-                    # The task finished at fetch: its writes just
-                    # bulk-forwarded, which later-scanned PUs' issue
-                    # decisions may observe this very cycle — keep the
-                    # hoisted version in step.
-                    self._mut_version += 1
-                    mut_version = self._mut_version
+                # The task finished at fetch: its writes just
+                # bulk-forwarded, which later-scanned PUs' issue
+                # decisions may observe this very cycle — keep the
+                # hoisted version in step.
+                self._mut_version += 1
+                mut_version = self._mut_version
             if issued:
-                active = True
                 counts[_R_USEFUL] += 1
             elif cycle < pu.assign_cycle + task_start_overhead:
                 counts[_R_TASK_START] += 1
@@ -630,17 +608,9 @@ class MultiscalarMachine:
                 counts[_R_FETCH] += 1
         self._idle_accum += idle
         self._span_accum += self._active_span
-        return active
 
     def run(self) -> SimResult:
         """Simulate until every dynamic task has retired."""
-        if len(self.stream.tasks) == 0:
-            result = self._result(0)
-            if self.monitor is not None:
-                self.monitor.on_finish(self, result)
-            if self.tracer is not None:
-                self.tracer.on_finish(self, result)
-            return result
         # Imported here, not at module load: the kernel is built on
         # the first run that needs it, never at ``import repro``.
         from repro.sim import native
@@ -652,12 +622,11 @@ class MultiscalarMachine:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            if self.config.engine == "reference":
-                cycles = self._run_reference()
-            elif self._hook_free() and native.available():
+            if (self.config.engine == "fast" and self.faults is None
+                    and self.stream.tasks and native.available()):
                 cycles = native.run(self)
             else:
-                cycles = self._run_fast()
+                cycles = self._run_reference()
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -669,15 +638,8 @@ class MultiscalarMachine:
             self.tracer.on_finish(self, result)
         return result
 
-    def _hook_free(self) -> bool:
-        """True when no monitor, fault plan or tracer is attached."""
-        return (
-            self.monitor is None and self.faults is None
-            and self.tracer is None
-        )
-
     def _run_reference(self) -> int:
-        """The original uniform per-cycle loop (equivalence oracle)."""
+        """The uniform per-cycle loop (equivalence oracle)."""
         max_cycles = self.config.max_cycles
         n_tasks = len(self.stream.tasks)
         cycle = 0
@@ -686,68 +648,6 @@ class MultiscalarMachine:
                 raise self._stuck(cycle, f"exceeded {max_cycles} cycles")
             self._tick(cycle)
             cycle += 1
-        return cycle
-
-    def _run_fast(self) -> int:
-        """Event-driven loop: tick, and after a quiescent tick jump to
-        the next event, bulk-charging the skipped span."""
-        config = self.config
-        max_cycles = config.max_cycles
-        n_tasks = len(self.stream.tasks)
-        pus = self.pus
-        # Fault plans decrement per-cycle cooldowns: every cycle must
-        # be presented to them, so skipping is off.
-        can_skip = self.faults is None
-        cycle = 0
-        while self.retire_seq < n_tasks:
-            if cycle > max_cycles:
-                raise self._stuck(cycle, f"exceeded {max_cycles} cycles")
-            if self._tick(cycle) or not can_skip:
-                cycle += 1
-                continue
-            # Quiescent: find the earliest cycle anything can happen.
-            t = cycle + 1
-            wake = _NEVER
-            if self._retiring_pu is not None:
-                wake = self._retire_finish
-            if pus[self.next_assign_pu].idle and (
-                self.pending_mispredict is not None
-                or self.next_seq < n_tasks
-            ):
-                resume = self.resume_cycle
-                if resume < t:
-                    resume = t
-                if resume < wake:
-                    wake = resume
-            idle_pus = 0
-            charged: List[Tuple[List[int], int]] = []
-            for pu in pus:
-                if pu.wrong or pu.retiring:
-                    continue
-                if pu.dyn_task is None:
-                    idle_pus += 1
-                    continue
-                w, slot = pu.next_event_cycle(t, self)
-                if w < wake:
-                    wake = w
-                if slot is not None:
-                    charged.append((pu.local_counts, slot))
-            if wake >= _NEVER:
-                raise self._stuck(cycle, "no pending event (livelock)")
-            if wake <= t:
-                cycle = t
-                continue
-            if wake > max_cycles:
-                wake = max_cycles + 1  # let the guard above raise
-            skipped = wake - t
-            if self.tracer is not None:
-                self.tracer.on_cycle_skip(cycle, wake)
-            if idle_pus:
-                self._idle_accum += idle_pus * skipped
-            for counts, slot in charged:
-                counts[slot] += skipped
-            self._span_accum += self._active_span * skipped
-            cycle = wake
         return cycle
 
     def _stuck(self, cycle: int, reason: str) -> SimulationStuck:

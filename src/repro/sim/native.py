@@ -1,11 +1,18 @@
 """The native cycle kernel: build, load and call ``_cycle.c``.
 
-``MultiscalarMachine.run`` hands a hook-free ``engine="fast"`` run
-(no monitor, fault plan or tracer) to :func:`run`, which simulates it
-in C with the reference engine's per-cycle semantics and writes the
-machine's counters back, so ``_result`` builds the very ``SimResult``
-the Python loops would.  Runs with a hook attached, and every run when
-the kernel cannot be built, take the Python fast loop instead.
+``MultiscalarMachine.run`` hands every ``engine="fast"`` run without a
+fault plan to :func:`run`, which simulates it in C with the reference
+engine's per-cycle semantics and writes the machine's counters back,
+so ``_result`` builds the very ``SimResult`` the reference loop would.
+Fault plans, and every run when the kernel cannot be built, take the
+reference loop instead.
+
+With a monitor or tracer attached the kernel also logs one
+fixed-width ``int64`` record per hook call, and :func:`replay` makes
+those calls after the run, before any ``SimulationStuck`` is raised.
+The monitor's retire checks read ``state.complete``, which gets the
+kernel's final completion cycles: committed instructions never
+re-execute, so those are the values at retire (DESIGN.md §9).
 
 The kernel is one C99 file with no Python headers, compiled on first
 use with ``cc -O2 -shared -fPIC`` into ``__pycache__/`` next to this
@@ -13,9 +20,9 @@ module (the temp directory when that is not writable), named by the
 sha256 of the source: an edit rebuilds it, and one build serves every
 Python version.  A file lock plus an atomic rename keep concurrent
 pool workers from racing on the build.  Nothing here runs at
-``import repro`` time; the first hook-free run pays the build once.
+``import repro`` time; the first fast run pays the build once.
 
-:func:`status` says which loop hook-free runs take: ``("native",
+:func:`status` says which loop fast runs take: ``("native",
 None)`` or ``("python", reason)``.  A failed build prints one warning
 line on stderr with the compiler's first error line.
 """
@@ -54,6 +61,34 @@ _PREDICTOR = {"path": 0, "gshare": 1, "hybrid": 2}
 #: ms_run return codes
 _MAX_CYCLES, _LIVELOCK, _NOMEM = 1, 2, 3
 
+#: words per event log record: the kind, then seven argument slots
+EV_WIDTH = 8
+#: per event kind, in the order of EV_* in _cycle.c: the hook calls its
+#: site in machine.py makes, in that order, as (hook, method, argument
+#: slots of the record)
+_REPLAY = {
+    "assign": (("monitor", "on_assign", (0, 1, 2, 3)),
+               ("tracer", "on_assign", (0, 1, 2))),
+    "wrong_assign": (("monitor", "on_wrong_assign", (0, 1)),
+                     ("tracer", "on_wrong_assign", (0, 1))),
+    "task_mispredict": (("monitor", "on_control_mispredict", (0,)),
+                        ("tracer", "on_task_mispredict", (0, 1))),
+    "branch_mispredict": (("tracer", "on_branch_mispredict", (0, 1, 2, 3)),),
+    "arb_violation": (("monitor", "on_memory_violation", (0,)),
+                      ("tracer", "on_arb_violation", (0, 1))),
+    "squash": (("monitor", "on_squash_victim", (0, 1, 2, 3, 4, 6)),
+               ("tracer", "on_squash", (0, 1, 2, 3, 4, 5))),
+    "wrong_squash": (("monitor", "on_wrong_squash", (0, 1, 2)),
+                     ("tracer", "on_wrong_squash", (0, 1, 2))),
+    "post_squash": (("monitor", "post_squash", (0, 1, 2, 3, 4, 5)),),
+    "commit": (("tracer", "on_commit_start", (0, 1, 2)),),
+    "retire": (("tracer", "on_retire", (0, 1, 2, 3, 4)),
+               ("monitor", "on_retire", (0, 2))),
+}
+#: event kind names by their number in the log
+EV_KINDS = tuple(_REPLAY)
+_CALLS = tuple(_REPLAY.values())
+
 _IN_POINTERS = (
     "opcls", "is_load", "is_store", "is_mem", "is_cond_branch",
     "block_start", "has_write", "has_remote_consumer", "gshare_mispred",
@@ -83,6 +118,7 @@ class _In(ctypes.Structure):
         + [(name, _PTR) for name in _IN_POINTERS]
         + [(name, _I64) for name in _IN_CONFIG]
         + [(name, _PTR) for name in ("pu_of_seq", "pu_useful", "pu_occupied")]
+        + [("log_events", _I64), ("complete_out", _PTR)]
     )
 
 
@@ -104,6 +140,8 @@ class _Out(ctypes.Structure):
     ] + [
         ("squash_depths", ctypes.POINTER(_I64)),
         ("n_squash_depths", _I64),
+        ("events", ctypes.POINTER(_I64)),
+        ("n_events", _I64),
     ]
 
 
@@ -189,7 +227,7 @@ def _load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
         reason = str(exc)
         print(
             f"repro: native cycle kernel unavailable ({reason}); "
-            "hook-free runs use the Python fast loop",
+            "fast runs use the reference loop",
             file=sys.stderr,
         )
         return None, reason
@@ -207,7 +245,7 @@ def status() -> Tuple[str, Optional[str]]:
 
 
 def available() -> bool:
-    """True when hook-free fast runs go through the kernel."""
+    """True when fast runs without a fault plan go through the kernel."""
     return _load()[0] is not None
 
 
@@ -222,6 +260,19 @@ def _address(buffer, keep: list) -> int:
     return ctypes.addressof(view)
 
 
+def replay(events, monitor, tracer) -> None:
+    """Make the hook calls of each record of a kernel event log, in order.
+
+    An ``InvariantViolation`` propagates from the record that raised it.
+    """
+    hooks = {"monitor": monitor, "tracer": tracer}
+    words = iter(events)
+    for kind, *args in zip(*[words] * EV_WIDTH):
+        for hook, method, slots in _CALLS[kind]:
+            if hooks[hook] is not None:
+                getattr(hooks[hook], method)(*[args[i] for i in slots])
+
+
 def run(machine) -> int:
     """Simulate ``machine`` in the kernel; returns the cycle count.
 
@@ -229,8 +280,9 @@ def run(machine) -> int:
     ``SimulationStuck`` message read: the counters, accumulators,
     squash penalties and depths, per-PU occupancy, the cache hit and
     miss counts, ``retire_seq`` / ``next_seq`` / ``pending_mispredict``
-    and ``state.pu_of_seq``.  PU, predictor and sync-table state is
-    not written back.
+    and ``state.pu_of_seq`` (plus ``state.complete`` when a monitor is
+    attached), then replays the event log into the machine's hooks.
+    PU, predictor and sync-table state is not written back.
     """
     lib = _load()[0]
     config = machine.config
@@ -241,6 +293,7 @@ def run(machine) -> int:
     n_pus = len(pus)
     n_tasks = len(machine.stream.tasks)
 
+    monitor, tracer = machine.monitor, machine.tracer
     pu_of_seq = array("i", bytes(4 * n_tasks))
     pu_useful = array("q", bytes(8 * n_pus))
     pu_occupied = array("q", bytes(8 * n_pus))
@@ -342,11 +395,17 @@ def run(machine) -> int:
     }
     for name, value in settings.items():
         setattr(args, name, value)
+    args.log_events = int(monitor is not None or tracer is not None)
+    complete = None
+    if monitor is not None:
+        complete = array("q", bytes(8 * packed.n))
+        args.complete_out = _address(complete, keep)
 
     out = _Out()
     code = lib.ms_run(ctypes.byref(args), ctypes.byref(out))
     try:
         depths = out.squash_depths[:out.n_squash_depths]
+        events = out.events[:EV_WIDTH * out.n_events]
     finally:
         lib.ms_free(ctypes.byref(out))
     del keep
@@ -358,11 +417,6 @@ def run(machine) -> int:
     machine.pending_mispredict = (
         out.pending_mispredict if out.pending_mispredict >= 0 else None
     )
-    if code == _MAX_CYCLES:
-        raise machine._stuck(out.cycles, f"exceeded {config.max_cycles} cycles")
-    if code == _LIVELOCK:
-        raise machine._stuck(out.cycles, "no pending event (livelock)")
-
     machine.task_predictions = out.task_predictions
     machine.task_mispredictions = out.task_mispredictions
     machine.control_squashes = out.control_squashes
@@ -386,4 +440,13 @@ def run(machine) -> int:
     ):
         cache.hits = hits
         cache.misses = misses
+    if complete is not None:
+        state.complete[:] = complete.tolist()
+    # Replay first: an invariant violation wins over SimulationStuck,
+    # as it does in the reference loop.
+    replay(events, monitor, tracer)
+    if code == _MAX_CYCLES:
+        raise machine._stuck(out.cycles, f"exceeded {config.max_cycles} cycles")
+    if code == _LIVELOCK:
+        raise machine._stuck(out.cycles, "no pending event (livelock)")
     return out.cycles

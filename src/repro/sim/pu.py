@@ -19,14 +19,11 @@ chasing — and the per-task stall accounting is a dense int list
 bookkeeping costs a couple of list indexings instead of enum-keyed
 dict updates.
 
-For the event-driven engine the PU also exposes
-:meth:`next_event_cycle`: after a globally quiescent cycle it reports
-the earliest future cycle at which this PU could act (next completion,
-fetch resume, ring-forward arrival, task-start boundary) plus the
-stall category it keeps charging until then.  ``issue`` records the
-two facts the probe needs as it scans — the blocking reason of the
-oldest unissued instruction and the earliest ring-forward arrival
-among blocked candidates — so the probe itself does no rescanning.
+``issue`` records, as it scans, the blocking reason of the oldest
+unissued instruction and the earliest ring-forward arrival among
+blocked candidates; the machine's issue memo replays a blocked result
+from them until something the decision observes changes.  The native
+kernel in ``_cycle.c`` ports these methods without the memo.
 """
 
 from __future__ import annotations
@@ -49,9 +46,6 @@ _NEVER = 1 << 60
 
 _N_REASONS = len(REASON_INDEX)
 _R_FETCH = REASON_INDEX[StallReason.FETCH]
-_R_LOAD_IMBALANCE = REASON_INDEX[StallReason.LOAD_IMBALANCE]
-_R_TASK_START = REASON_INDEX[StallReason.TASK_START]
-_R_USEFUL = REASON_INDEX[StallReason.USEFUL]
 
 
 class ProcessingUnit:
@@ -176,10 +170,10 @@ class ProcessingUnit:
         #: per-task stall accounting, slotted per breakdown.REASONS
         self.local_counts: List[int] = [0] * _N_REASONS
         #: earliest ring-forward arrival among blocked candidates, as
-        #: observed by the last ``issue`` call (event-probe input)
+        #: observed by the last ``issue`` call (issue-memo input)
         self.issue_wake = _NEVER
         #: blocking reason of the oldest unissued instruction, as
-        #: observed by the last ``issue`` call (event-probe input)
+        #: observed by the last ``issue`` call (issue-memo input)
         self.last_block: Optional[StallReason] = None
         #: dense slot of ``last_block`` (valid when it is not None)
         self.last_slot = _R_FETCH
@@ -227,13 +221,12 @@ class ProcessingUnit:
 
     def drain_completions(
         self, cycle: int
-    ) -> Tuple[List[int], bool, bool, List[int]]:
+    ) -> Tuple[List[int], bool, List[int]]:
         """Pop instructions finishing at ``cycle``; update run state.
 
-        Returns ``(completed stores, popped anything, global event,
-        cross-consumer completions)``: the machine checks the stores
-        for memory dependence violations, uses the pop flag for
-        activity detection, bumps its mutation version on a global
+        Returns ``(completed stores, global event, cross-consumer
+        completions)``: the machine checks the stores for memory
+        dependence violations, bumps its mutation version on a global
         event (a LAZY-policy task finishing — its writes forward in
         bulk), and invalidates the memoized issue results of exactly
         the consumer tasks of each cross-consumer completion.
@@ -241,7 +234,6 @@ class ProcessingUnit:
         completed_stores: List[int] = []
         cross_popped: List[int] = []
         in_flight = self.in_flight
-        popped = False
         global_event = False
         if in_flight and in_flight[0][0] <= cycle:
             (
@@ -255,7 +247,6 @@ class ProcessingUnit:
             ) = self._drain_consts
             heappop = heapq.heappop
             schedule_policy = self._schedule_fp
-            popped = True
             self.issue_cache_key = -1
             while in_flight and in_flight[0][0] <= cycle:
                 _, idx = heappop(in_flight)
@@ -290,7 +281,7 @@ class ProcessingUnit:
                 # own drain (and targeted invalidation covered it).
                 global_event = True
                 self._forward_all_writes(cycle)
-        return completed_stores, popped, global_event, cross_popped
+        return completed_stores, global_event, cross_popped
 
     def _schedule_forward(self, idx: int, earliest: int) -> None:
         state = self.state
@@ -329,7 +320,7 @@ class ProcessingUnit:
     def fetch(self, cycle: int) -> bool:
         """Bring up to ``fetch_width`` instructions into the window.
 
-        Returns True when anything was fetched (activity detection).
+        Returns True when anything was fetched.
         """
         if self.dyn_task is None or self.done:
             return False
@@ -516,7 +507,7 @@ class ProcessingUnit:
             reason: Optional[StallReason] = None
             # Register operands.  A block on a scheduled ring
             # forward records the arrival cycle in ``issue_wake``
-            # for the event probe — the only blocking condition
+            # for the issue memo — the only blocking condition
             # that clears at a known future cycle rather than at
             # another unit's event.
             for p in producers[idx]:
@@ -636,52 +627,3 @@ class ProcessingUnit:
             self.issue_cache_key = machine._mut_version
             self.issue_retire_key = machine._retire_version
         return 0, first_block
-
-    # ---------------------------------------------------------- event probe
-
-    def next_event_cycle(
-        self, t: int, machine
-    ) -> Tuple[int, Optional[int]]:
-        """Earliest cycle >= ``t`` this PU could act, and the stall slot
-        (a ``REASONS`` index, or None) it charges until then.
-
-        Only meaningful immediately after a cycle in which this PU made
-        no progress (nothing drained, issued, or fetched): the blocking
-        state observed by that cycle's ``issue`` call then holds for
-        every cycle before the returned wake-up point, so the machine
-        can charge the whole quiescent span in one step.  Wake-up
-        sources that live on *other* units (a producer task's
-        completion, the retire chain, the sequencer) are deliberately
-        not bounded here — the machine takes the minimum across all
-        units, and any of those events ends the span globally.
-        """
-        if self.wrong or self.retiring:
-            return _NEVER, None
-        dyn = self.dyn_task
-        if dyn is None:
-            return _NEVER, None  # charged as machine-level IDLE
-        if self.done:
-            return _NEVER, _R_LOAD_IMBALANCE
-        in_flight = self.in_flight
-        wake = in_flight[0][0] if in_flight else _NEVER
-        if (
-            self.pending_branch < 0
-            and self.fetch_ptr < dyn.end
-            and self.rob_count < self.config.rob_size
-        ):
-            resume = self.fetch_resume
-            if resume < t:
-                resume = t
-            if resume < wake:
-                wake = resume
-        if self.issue_wake < wake:
-            wake = self.issue_wake
-        boundary = self.assign_cycle + self.config.task_start_overhead
-        if t < boundary:
-            # The charge category flips from TASK_START at the boundary.
-            if boundary < wake:
-                wake = boundary
-            return wake, _R_TASK_START
-        if self.last_block is None:
-            return wake, _R_FETCH
-        return wake, self.last_slot

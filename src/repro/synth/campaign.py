@@ -9,8 +9,9 @@ levels**, runs every cell on **both simulation engines**, and checks:
 * the reliability oracle (sequential reference vs. full-semantics
   replay of the machine's commit log) with the invariant monitor
   riding every run;
-* fast vs. reference engine **bit-identity** on every reported
-  result field and every cycle-breakdown category.
+* fast (the monitored native kernel) vs. reference engine
+  **bit-identity** on every reported result field and every
+  cycle-breakdown category.
 
 Everything executes through the existing harness
 (:func:`repro.harness.scheduler.run_specs`): cells group by compile

@@ -82,7 +82,6 @@ class TestParser:
         assert args.level == "control_flow"
         assert args.engine == "reference"
         assert args.output == "out.json"
-        assert not args.no_engine_events
         assert build_parser().parse_args(
             ["trace", "compress"]).output == "trace.json"
 
@@ -431,6 +430,34 @@ _BAD_INPUT = [
                  "repro profile-sim: error: argument --top: invalid count "
                  "'0': must be >= 1",
                  id="profile-sim-top-zero"),
+    pytest.param(["trace", "compress", "-o", "/missing/x.json"],
+                 "repro trace: error: argument -o/--output: invalid path "
+                 "'/missing/x.json': no directory '/missing'",
+                 id="trace-output-missing-dir"),
+    pytest.param(["gen", "1", "-o", "/missing/p.asm"],
+                 "repro gen: error: argument -o/--output: invalid path "
+                 "'/missing/p.asm': no directory '/missing'",
+                 id="gen-output-missing-dir"),
+    pytest.param(["bench", "--grids", "smoke", "--json", "/missing/b.json"],
+                 "repro bench: error: argument --json: invalid path "
+                 "'/missing/b.json': no directory '/missing'",
+                 id="bench-json-missing-dir"),
+    pytest.param(["figure5", "--json", "/missing/y.json"],
+                 "repro figure5: error: argument --json: invalid path "
+                 "'/missing/y.json': no directory '/missing'",
+                 id="figure5-json-missing-dir"),
+    pytest.param(["scaling", "--json", "/missing/y.json"],
+                 "repro scaling: error: argument --json: invalid path "
+                 "'/missing/y.json': no directory '/missing'",
+                 id="scaling-json-missing-dir"),
+    pytest.param(["table1", "--json", "/missing/y.json"],
+                 "repro table1: error: argument --json: invalid path "
+                 "'/missing/y.json': no directory '/missing'",
+                 id="table1-json-missing-dir"),
+    pytest.param(["breakdown", "--json", "/missing/y.json"],
+                 "repro breakdown: error: argument --json: invalid path "
+                 "'/missing/y.json': no directory '/missing'",
+                 id="breakdown-json-missing-dir"),
 ]
 
 

@@ -1,16 +1,15 @@
-"""Fast-engine equivalence: event-driven core vs the reference loop.
+"""Fast-engine equivalence: the native kernel vs the reference loop.
 
 The fast engine's only licence to exist is bit-identity: every
 (benchmark, level, machine) cell must produce exactly the same
 ``SimResult`` — cycles, committed instructions, squash counts, the
 full per-reason cycle breakdown — as the cycle-by-cycle reference
-loop.  These tests sweep every benchmark at every heuristic level,
-vary the machine shape and the forwarding policy, and run the
-reliability subsystem's fault sweeps against the fast engine, so a
-skip-logic bug cannot hide behind aggregate statistics.  Hook-free
-cells run the fast engine through the native kernel
-(``tests/test_native.py`` asserts it is built wherever a C compiler
-is); the fault sweeps carry hooks and run the Python loop.
+loop.  These tests sweep every benchmark at every heuristic level and
+vary the machine shape and the forwarding policy, so a porting bug in
+the kernel cannot hide behind aggregate statistics.  Fast cells run
+through the native kernel (``tests/test_native.py`` asserts it is
+built wherever a C compiler is); the fault sweeps run the reference
+loop, which alone presents every cycle to a fault plan.
 """
 
 import pytest
@@ -100,14 +99,12 @@ def test_fast_matches_reference_forward_policies(policy):
     ("tomcatv", HeuristicLevel.TASK_SIZE),
 ])
 def test_fast_bulk_charging_sums_per_category(name, level):
-    """Bulk-charged skipped cycles land in the right Figure-2 buckets.
+    """Every stall cycle lands in the same Figure-2 bucket.
 
-    The fast engine charges a whole skipped span to each PU's current
-    stall category in one addition; this checks the per-category
-    totals — not just the aggregate — against the reference engine's
-    cycle-by-cycle accounting, and that both engines attribute every
-    PU-cycle (categories + squash penalties + idle sum to the same
-    grand total).
+    Checks the per-category totals — not just the aggregate — against
+    the reference engine's accounting, and that both engines attribute
+    every PU-cycle (categories + squash penalties + idle sum to the
+    same grand total).
     """
     fast = run_benchmark(name, level, n_pus=4, scale=SMALL)
     reference = run_benchmark(
@@ -128,12 +125,11 @@ def test_fast_bulk_charging_sums_per_category(name, level):
 
 
 def test_fault_sweep_on_fast_engine():
-    """Seeded fault injection exercises recovery on the fast path.
+    """Seeded fault injection on an ``engine="fast"`` cell.
 
-    A fault plan disables cycle skipping (events are injected from
-    outside the machine's event horizon), but the run still goes
-    through the fast engine's probe loop — the oracle and invariant
-    monitors must stay green.
+    A fault plan counts per-cycle cooldowns, so the run takes the
+    reference loop even on the fast engine; the oracle and invariant
+    monitors must stay green under the injected squashes.
     """
     report = verify_workload(
         "compress", HeuristicLevel.CONTROL_FLOW, n_pus=4,

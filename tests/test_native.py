@@ -1,11 +1,12 @@
 """The native cycle kernel (``repro.sim.native`` + ``_cycle.c``).
 
-A hook-free ``engine="fast"`` run goes through the C kernel whenever
-a C compiler is on the PATH; these tests pin that routing and demand
-``SimResult`` equality with the reference engine on the fuzz corpus,
-seeded generated programs and every machine preset.  They also keep
-the Python fast loop covered with the kernel switched off, since
-monitored runs still take it.
+An ``engine="fast"`` run without a fault plan goes through the C
+kernel whenever a C compiler is on the PATH, monitored and traced runs
+included; these tests pin that routing and demand ``SimResult``
+equality with the reference engine on the fuzz corpus, seeded
+generated programs and every machine preset.  They also check that
+the monitor fed from the kernel's event log names the invariant a
+tampered log breaks.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from repro.ir import IRBuilder, parse_program
 from repro.ir.interp import run_program
 from repro.machines import machine_names, resolve_machine
 from repro.machines.spec import with_predictor
+from repro.reliability import FaultPlan, InvariantMonitor, InvariantViolation
 from repro.sim import MultiscalarMachine, SimConfig, build_task_stream, native
 from repro.sim.breakdown import REASONS, StallReason
 from repro.sim.machine import SimulationStuck
 from repro.synth import generate_program
 from repro.synth.params import PRESETS
+from repro.telemetry import TraceCollector
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.asm"))
 LEVELS = list(HeuristicLevel)
@@ -48,21 +51,6 @@ def assert_native_matches_reference(stream, release, **config):
     native_result = _simulate(stream, release, engine="fast", **config)
     reference = _simulate(stream, release, engine="reference", **config)
     assert native_result == reference
-
-
-@pytest.fixture
-def python_fast_only(monkeypatch):
-    """Switch the kernel off: hook-free fast runs take ``_run_fast``."""
-    calls = []
-    run_fast = MultiscalarMachine._run_fast
-
-    def counted(machine):
-        calls.append(machine.label)
-        return run_fast(machine)
-
-    monkeypatch.setattr(native, "available", lambda: False)
-    monkeypatch.setattr(MultiscalarMachine, "_run_fast", counted)
-    return calls
 
 
 @pytest.fixture
@@ -98,6 +86,28 @@ def test_hook_free_fast_runs_call_the_kernel(monkeypatch):
     assert calls == (["compress/task_size/4ooo"] if native.available() else [])
 
 
+def test_hooked_fast_runs_call_the_kernel_unless_faults(monkeypatch):
+    calls = []
+    run = native.run
+
+    def counted(machine):
+        calls.append((machine.monitor is not None, machine.tracer is not None))
+        return run(machine)
+
+    monkeypatch.setattr(native, "run", counted)
+    hooks = [
+        dict(monitor=InvariantMonitor()),
+        dict(tracer=TraceCollector()),
+        dict(monitor=InvariantMonitor(), fault_plan=FaultPlan(seed=7,
+                                                              faults=5)),
+    ]
+    for hooked in hooks:
+        run_benchmark("compress", HeuristicLevel.TASK_SIZE, scale=SMALL,
+                      **hooked)
+    assert calls == ([(True, False), (False, True)]
+                     if native.available() else [])
+
+
 def test_stall_slots_match_the_kernel_enum():
     # _cycle.c numbers the reasons R_USEFUL .. R_IDLE in this order.
     assert [reason.name for reason in REASONS] == [
@@ -105,21 +115,6 @@ def test_stall_slots_match_the_kernel_enum():
         "MEMORY", "SYNC_WAIT", "FETCH", "LOAD_IMBALANCE", "IDLE",
     ]
     assert REASONS[-1] is StallReason.IDLE
-
-
-@pytest.mark.parametrize("name,level,n_pus,out_of_order", [
-    ("compress", HeuristicLevel.CONTROL_FLOW, 4, True),
-    ("tomcatv", HeuristicLevel.DATA_DEPENDENCE, 8, False),
-    ("go", HeuristicLevel.TASK_SIZE, 8, True),
-])
-def test_python_fast_loop_matches_reference(python_fast_only, name, level,
-                                            n_pus, out_of_order):
-    kwargs = dict(n_pus=n_pus, out_of_order=out_of_order, scale=SMALL)
-    fast = run_benchmark(name, level, **kwargs)
-    reference = run_benchmark(name, level, sim=SimConfig(engine="reference"),
-                              **kwargs)
-    assert python_fast_only, "the Python fast loop did not run"
-    assert dataclasses.asdict(fast) == dataclasses.asdict(reference)
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
@@ -231,16 +226,23 @@ def test_native_matches_reference_on_machine_presets(machine, bench):
     (SimConfig(int_units=0), "no pending event (livelock) at cycle 80"),
 ], ids=["max-cycles", "livelock"])
 def test_stuck_message_equals_python_fast(monkeypatch, sim, expected):
-    def stuck_message():
+    """The kernel's max-cycles message equals the reference fallback's;
+    the livelock guard is the kernel's alone, monitored or not."""
+    if not native.available():
+        pytest.skip("needs the native kernel")
+
+    def stuck_message(**hooks):
         with pytest.raises(SimulationStuck) as exc_info:
             run_benchmark("compress", HeuristicLevel.BASIC_BLOCK,
-                          scale=SMALL, sim=sim)
+                          scale=SMALL, sim=sim, **hooks)
         return str(exc_info.value)
 
     from_native = stuck_message()
-    monkeypatch.setattr(native, "available", lambda: False)
-    assert from_native == stuck_message()
     assert expected in from_native
+    assert stuck_message(monitor=InvariantMonitor()) == from_native
+    if "livelock" not in expected:
+        monkeypatch.setattr(native, "available", lambda: False)
+        assert stuck_message() == from_native
 
 
 def test_no_state_leaks_between_runs():
@@ -277,7 +279,7 @@ def test_missing_compiler_falls_back_visibly(fresh_loader, monkeypatch,
     assert native.status() == ("python", "no C compiler ('cc') on PATH")
     assert not native.available()
     warning = capsys.readouterr().err.splitlines()
-    assert len(warning) == 1 and "Python fast loop" in warning[0]
+    assert len(warning) == 1 and "reference loop" in warning[0]
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
@@ -292,6 +294,54 @@ def test_failed_build_warns_with_the_compiler_error(fresh_loader, tmp_path,
     assert reason.startswith("cc failed: ") and "missing_symbol" in reason
     warning = capsys.readouterr().err.splitlines()
     assert len(warning) == 1 and reason in warning[0]
-    # the fallback still simulates, through the Python fast loop
+    # the fallback still simulates, through the reference loop
     result = run_benchmark("compress", HeuristicLevel.TASK_SIZE, scale=SMALL)
     assert result.cycles > 0
+
+
+def _first(rows, kind):
+    number = native.EV_KINDS.index(kind)
+    return next(i for i, row in enumerate(rows) if row[0] == number)
+
+
+def _duplicate_retire(rows):
+    at = _first(rows, "retire")
+    rows.insert(at + 1, list(rows[at]))
+
+
+def _wrong_penalty(rows):
+    rows[_first(rows, "squash")][4] += 1
+
+
+def _survivor(rows):
+    row = rows[_first(rows, "post_squash")]
+    row[3] = row[1]  # the squash point itself is still in flight
+
+
+@pytest.mark.parametrize("tamper,invariant", [
+    (_duplicate_retire, r"\[I[12]\]"),
+    (_wrong_penalty, r"\[I4\]"),
+    (_survivor, r"\[I3\] squash from seq \d+ at cycle \d+ left task"),
+], ids=["duplicate-retire", "wrong-penalty", "survivor"])
+def test_tampered_event_log_raises_the_named_invariant(monkeypatch, tamper,
+                                                       invariant):
+    if not native.available():
+        pytest.skip("needs the native kernel")
+    replay = native.replay
+
+    def tampered(events, monitor, tracer):
+        width = native.EV_WIDTH
+        rows = [list(events[i:i + width])
+                for i in range(0, len(events), width)]
+        tamper(rows)
+        replay([word for row in rows for word in row], monitor, tracer)
+
+    monkeypatch.setattr(native, "replay", tampered)
+    # m88ksim at control_flow squashes one real task on a memory
+    # violation: every record kind the tampering needs is logged.
+    compiled = compile_benchmark("m88ksim", HeuristicLevel.CONTROL_FLOW,
+                                 SMALL)
+    machine = MultiscalarMachine(compiled.stream, SimConfig(),
+                                 compiled.release, monitor=InvariantMonitor())
+    with pytest.raises(InvariantViolation, match=invariant):
+        machine.run()

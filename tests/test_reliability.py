@@ -196,7 +196,8 @@ class TestInvariantMonitor:
         monitor = InvariantMonitor()
         MultiscalarMachine(stream, SimConfig(), monitor=monitor)
         with pytest.raises(InvariantViolation, match=r"\[I3\]"):
-            monitor.on_squash_victim(3, 0, 10, 10, memory=True)
+            monitor.on_squash_victim(3, 0, 10, 10, memory=True,
+                                     retire_seq=0)
 
     def test_wrong_penalty_raises(self, diamond_loop):
         part = select_tasks(
@@ -209,7 +210,8 @@ class TestInvariantMonitor:
         machine._assign(0)
         with pytest.raises(InvariantViolation, match=r"\[I4\]"):
             monitor.on_squash_victim(
-                0, machine.state.pu_of_seq[0], 10, 99, memory=False
+                0, machine.state.pu_of_seq[0], 10, 99, memory=False,
+                retire_seq=0,
             )
 
     def test_clean_runs_raise_nothing(self, call_program):

@@ -51,10 +51,10 @@ def test_campaign_ledger_deterministic(tmp_path):
 def test_campaign_degenerate_task_attribution():
     """Regression program: the second seed-1 program carries a task
     that goes ``done`` without ever popping a completion heap entry.
-    A cycle-skipping engine must charge the idle stretch after it to
+    The fast engine must charge the idle stretch after it to
     LOAD_IMBALANCE, as the reference does, not to a stale FETCH slot
     (same total cycles, different breakdown — found by a fuzz
-    campaign against an earlier skipping engine)."""
+    campaign against an earlier cycle-skipping engine)."""
     result = run_campaign(
         budget=2, seed=1, jobs=1,
         levels=(HeuristicLevel.BASIC_BLOCK,),

@@ -1,10 +1,11 @@
 """Telemetry subsystem: collector, exporter, metrics, ledger, report.
 
-The load-bearing guarantee is engine equivalence: the fast engine
-must produce exactly the canonical event stream the reference engine
-produces, cell by cell — the stream is a far finer-grained probe than
-the aggregate ``SimResult`` the fastpath tests compare, so a skip
-that lands one hook a cycle late fails here first.
+The load-bearing guarantee is engine equivalence: the native
+kernel's replayed event log must produce exactly the event stream the
+reference loop's live hooks produce, cell by cell — the stream is a
+far finer-grained probe than the aggregate ``SimResult`` the fastpath
+tests compare, so an event logged a cycle late, out of order or with
+a wrong argument fails here first.
 """
 
 import json
@@ -184,26 +185,14 @@ class TestCollector:
 )
 def test_engines_emit_identical_event_streams(name, level):
     """Canonical streams are byte-identical across engines, cell by
-    cell; only the engine-local skip diagnostics may differ."""
+    cell."""
     fast, fast_result = _traced_run(name, level, "fast")
     reference, ref_result = _traced_run(name, level, "reference")
     assert fast_result.cycles == ref_result.cycles
-    assert reference.engine_events == []
     assert fast.events == reference.events, (
         f"{name}/{level.value}: canonical event streams diverge "
         f"(fast={len(fast.events)}, reference={len(reference.events)})"
     )
-
-
-def test_fast_engine_records_skips_as_engine_events():
-    collector, result = _traced_run(
-        "compress", HeuristicLevel.DATA_DEPENDENCE, "fast"
-    )
-    assert collector.engine_events, "fast engine never skipped"
-    for kind, frm, to in collector.engine_events:
-        assert kind == "skip"
-        assert to > frm + 1  # a skip spans at least one full cycle
-        assert to <= result.cycles
 
 
 # ----------------------------------------------------------------- export
@@ -257,21 +246,6 @@ class TestExport:
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError):
             validate_chrome_trace_file(path)
-
-    def test_engine_events_can_be_excluded(self):
-        collector, _ = _traced_run(
-            "compress", HeuristicLevel.DATA_DEPENDENCE, "fast"
-        )
-        with_skips = chrome_trace(collector, include_engine_events=True)
-        without = chrome_trace(collector, include_engine_events=False)
-        skips = [
-            e for e in with_skips["traceEvents"]
-            if e.get("cat") == "engine"
-        ]
-        assert skips
-        assert not [
-            e for e in without["traceEvents"] if e.get("cat") == "engine"
-        ]
 
 
 # ----------------------------------------------------------------- ledger
