@@ -9,13 +9,15 @@ simulated cycles and simulated cycles per wall second, plus the git
 commit, the engine and the ``kernel`` — the cycle loop the engine's
 runs took: ``"native"`` (the C kernel behind ``engine="fast"``) or
 ``"python"`` — into a machine-readable dict that serialises to
-``BENCH_sim.json``.
+``BENCH_sim.json``.  A ``jobs=1`` measurement also records the exact
+work counts ``interp_runs`` and ``compile_hits``.
 
 The committed ``BENCH_sim.json`` at the repo root is the baseline the
 CI perf-smoke job compares against: ``check_regression`` fails a run
 whose wall time exceeds the baseline by more than the tolerance
 (default 25%), so an accidental slowdown of the simulation core is
-caught at review time rather than discovered months later.
+caught at review time rather than discovered months later; simulated
+cycles and work counts must match the baseline exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ SCHEMA_VERSION = 1
 
 #: regression tolerance: fail when wall time exceeds baseline by more
 DEFAULT_TOLERANCE = 0.25
+
+#: exact work counts of a ``jobs=1`` grid: interpreter runs and
+#: compile-cache hits (see :mod:`repro.experiments.runner`)
+WORK_COUNTS = ("interp_runs", "compile_hits")
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,7 @@ def run_grid(grid: str, engine: str = "fast", jobs: int = 1) -> dict:
     # native kernel, a once-per-install cost, not the grid's.
     kernel = kernel_of(engine)
     runner.clear_cache()
+    interp_runs, compile_hits = runner.interp_runs, runner.compile_hits
     start = time.perf_counter()
     result = run_figure5(
         benchmarks=spec.benchmarks, configs=spec.configs,
@@ -120,7 +127,7 @@ def run_grid(grid: str, engine: str = "fast", jobs: int = 1) -> dict:
     )
     wall_s = time.perf_counter() - start
     sim_cycles = sum(rec.cycles for rec in result.records.values())
-    return {
+    entry = {
         "grid": grid,
         "engine": engine,
         "kernel": kernel,
@@ -131,6 +138,11 @@ def run_grid(grid: str, engine: str = "fast", jobs: int = 1) -> dict:
         "scale": spec.scale,
         "jobs": jobs,
     }
+    if jobs == 1:
+        # Work counts of this process; pool workers keep their own.
+        entry["interp_runs"] = runner.interp_runs - interp_runs
+        entry["compile_hits"] = runner.compile_hits - compile_hits
+    return entry
 
 
 def run_bench(
@@ -219,7 +231,10 @@ def check_regression(
     cycle counts are also cross-checked: the engines are deterministic,
     so a cycle-count mismatch on the same commit history means the
     simulation changed behaviour, which a wall-clock gate must flag
-    rather than silently re-baseline.
+    rather than silently re-baseline.  The work counts
+    (:data:`WORK_COUNTS`) are compared exactly too, where both records
+    have them: a changed count means the pipeline repeats or skips
+    work.
     """
     problems: List[str] = []
     base_grids = baseline.get("grids", {})
@@ -241,6 +256,13 @@ def check_regression(
                 f"simulation's behaviour changed, re-baseline "
                 f"deliberately if intended"
             )
+        for count in WORK_COUNTS:
+            if count in base and count in entry and entry[count] != base[count]:
+                problems.append(
+                    f"{key}: {count} is {entry[count]}, baseline "
+                    f"recorded {base[count]} — the pipeline's work "
+                    f"changed, re-baseline deliberately if intended"
+                )
     return problems
 
 

@@ -24,7 +24,7 @@ program, not the input.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.compiler.control_flow import GrowthContext
 from repro.compiler.heuristics import SelectionConfig
@@ -33,8 +33,8 @@ from repro.compiler.task import TaskPartition
 from repro.compiler.transforms import clone_program
 from repro.ir.cfg import build_cfg
 from repro.ir.program import Program
-from repro.ir.interp import run_program
-from repro.profiling import Profile, profile_trace
+from repro.ir.interp import Trace
+from repro.profiling import Profile, profile_run
 
 
 def select_tasks(
@@ -42,12 +42,16 @@ def select_tasks(
     config: Optional[SelectionConfig] = None,
     profile: Optional[Profile] = None,
     max_profile_instructions: int = 2_000_000,
+    profile_run: Callable[..., Tuple[Trace, Profile]] = profile_run,
 ) -> TaskPartition:
     """Partition ``program`` into Multiscalar tasks.
 
     ``profile`` may be supplied to reuse an existing profile **of the
     transformed program**; normally leave it ``None`` and the driver
-    profiles internally after applying transforms.
+    profiles internally after applying transforms.  ``profile_run``
+    interprets and profiles the transformed program for that; the
+    experiment runner passes its content-addressed cache here, so
+    programs that coincide after transformation are run once.
     """
     config = config or SelectionConfig()
     strategy = get_strategy(config)
@@ -61,10 +65,9 @@ def select_tasks(
         # task boundaries from here on (no further code changes), so
         # the caller can reuse it instead of re-interpreting the
         # program to obtain the measured trace.
-        profiled_trace = run_program(
+        profiled_trace, profile = profile_run(
             prog, max_instructions=max_profile_instructions
         )
-        profile = profile_trace(profiled_trace)
 
     absorbed: Set[str] = strategy.absorbed_functions(prog, profile, config)
 

@@ -16,7 +16,6 @@ layout; callers should work on a cloned program
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Dict, List, Optional, Set
 
@@ -34,9 +33,21 @@ from repro.ir.program import Program
 
 
 def clone_program(program: Program) -> Program:
-    """Deep-copy ``program`` so transforms leave the original intact."""
-    clone = copy.deepcopy(program)
-    clone.invalidate_layout()
+    """Copy ``program`` so transforms leave the original intact.
+
+    The program, function and block containers and the memory image
+    are rebuilt; the frozen :class:`Instruction` objects are shared
+    (transforms replace instructions, never mutate them).
+    """
+    clone = Program(program.main_name)
+    for func in program.functions():
+        copied = Function(func.name)
+        for blk in func.blocks():
+            copied.add_block(
+                BasicBlock(blk.label, list(blk.instructions), blk.fallthrough)
+            )
+        clone.add_function(copied)
+    clone.memory_image = dict(program.memory_image)
     return clone
 
 

@@ -5,19 +5,25 @@ workload, apply the task selection heuristics, execute functionally,
 split the trace into dynamic tasks, and replay it on the timing model.
 Compilation products (partition / trace / stream) are cached per
 ``(benchmark, level, scale)`` so that machine sweeps (PU counts,
-in-order vs out-of-order) reuse them.
+in-order vs out-of-order) reuse them.  Interpreter traces are cached
+per distinct program text, so configs whose transformed programs
+coincide (BB and CF on most benchmarks) share one profile run.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from repro.compiler import HeuristicLevel, SelectionConfig, TaskPartition, select_tasks
 from repro.compiler.regcomm import ReleaseAnalysis
+from repro.ir.asmtext import program_to_text
 from repro.ir.interp import Trace, run_program
+from repro.ir.program import Program
 from repro.metrics import normalized_branch_misprediction, window_span
+from repro.profiling import Profile, profile_trace
 from repro.sim import (
     CycleBreakdown,
     MultiscalarMachine,
@@ -26,6 +32,7 @@ from repro.sim import (
     build_task_stream,
 )
 from repro.workloads import get_benchmark
+from repro.workloads.registry import clear_synth_cache
 
 #: (benchmark, scale, input_set, profile_input,
 #: *SelectionConfig.cache_key()).  The tail enumerates every config
@@ -44,6 +51,10 @@ class Compiled:
     trace: Trace
     stream: TaskStream
     release: ReleaseAnalysis
+    #: the oracle's sequential re-execution of ``partition.program``
+    #: as (instructions retired, final state), filled on first use by
+    #: :func:`repro.reliability.oracle.compiled_reference`
+    reference: Optional[Tuple] = None
 
 
 @dataclass
@@ -95,9 +106,61 @@ class RunRecord:
 _compile_cache: Dict[_CompileKey, Compiled] = {}
 
 
+@dataclass
+class _Execution:
+    """The interpreter trace of one distinct program, and its profile
+    once a selection has asked for one."""
+
+    trace: Trace
+    profile: Optional[Profile] = None
+
+
+#: (sha256 of ``program_to_text``, max_instructions) -> execution; the
+#: text includes the memory image, so the key names program and input
+_trace_cache: Dict[Tuple[str, int], _Execution] = {}
+
+#: exact work counts of this process, read by ``repro bench``:
+#: interpreter runs (trace-cache misses) and compile-cache hits
+interp_runs = 0
+compile_hits = 0
+
+
 def clear_cache() -> None:
-    """Drop all cached compilations (tests use this for isolation)."""
+    """Drop all cached compilations, traces and generated programs
+    (tests and cold timing passes use this for isolation)."""
     _compile_cache.clear()
+    _trace_cache.clear()
+    clear_synth_cache()
+
+
+def _execution(program: Program, max_instructions: int) -> _Execution:
+    """Interpret ``program`` once per distinct text and budget."""
+    global interp_runs
+    text = program_to_text(program)
+    key = (hashlib.sha256(text.encode("utf-8")).hexdigest(), max_instructions)
+    execution = _trace_cache.get(key)
+    if execution is None:
+        execution = _Execution(
+            run_program(program, max_instructions=max_instructions)
+        )
+        interp_runs += 1
+        _trace_cache[key] = execution
+    return execution
+
+
+def cached_trace(program: Program, max_instructions: int = 2_000_000) -> Trace:
+    """``run_program`` through the trace cache."""
+    return _execution(program, max_instructions).trace
+
+
+def cached_profile_run(
+    program: Program, max_instructions: int = 2_000_000
+) -> Tuple[Trace, Profile]:
+    """``profile_run`` through the trace cache: one profile per trace."""
+    execution = _execution(program, max_instructions)
+    if execution.profile is None:
+        execution.profile = profile_trace(execution.trace)
+    return execution.trace, execution.profile
 
 
 def resolve_selection(
@@ -156,6 +219,7 @@ def compile_benchmark(
     default profiles and measures the same data, as in the paper; pass
     ``profile_input="train"`` to study profile-input sensitivity.
     """
+    global compile_hits
     selection = resolve_selection(level, selection)
     profile_input = profile_input or input_set
     key = compile_cache_key(
@@ -163,6 +227,7 @@ def compile_benchmark(
     )
     cached = _compile_cache.get(key)
     if cached is not None:
+        compile_hits += 1
         return cached
     # Interpreting and packing a trace creates millions of short-lived
     # tracked objects; the cyclic collector only adds scan time here.
@@ -171,20 +236,18 @@ def compile_benchmark(
     try:
         benchmark = get_benchmark(name)
         program = benchmark.build(scale, input_set=profile_input)
-        partition = select_tasks(program, selection)
+        partition = select_tasks(
+            program, selection, profile_run=cached_profile_run
+        )
         if profile_input != input_set:
             # Same static code, different data: measure the ref input
             # on the train-profiled partition (transforms never touch
             # data).
             measured = benchmark.build(scale, input_set=input_set)
             partition.program.memory_image = dict(measured.memory_image)
-            trace = run_program(partition.program)
-        elif partition.profile_trace is not None:
-            # Selection already interpreted this exact program on this
-            # exact input while profiling — reuse its trace.
-            trace = partition.profile_trace
-        else:
-            trace = run_program(partition.program)
+        # A profiled selection already ran this exact program and
+        # input: the trace cache returns that run.
+        trace = cached_trace(partition.program)
         stream = build_task_stream(trace, partition)
         release = ReleaseAnalysis(partition)
     finally:

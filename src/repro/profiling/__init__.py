@@ -14,6 +14,11 @@ functional-execution trace:
   (inclusive of callees) — the input to the CALL_THRESH decision.
 """
 
-from repro.profiling.profiler import Profile, profile_program, profile_trace
+from repro.profiling.profiler import (
+    Profile,
+    profile_program,
+    profile_run,
+    profile_trace,
+)
 
-__all__ = ["Profile", "profile_program", "profile_trace"]
+__all__ = ["Profile", "profile_program", "profile_run", "profile_trace"]

@@ -131,6 +131,14 @@ def profile_trace(trace: Trace) -> Profile:
     return profile
 
 
+def profile_run(
+    program: Program, max_instructions: int = 2_000_000
+) -> Tuple[Trace, Profile]:
+    """Run ``program`` functionally; return its trace and profile."""
+    trace = run_program(program, max_instructions=max_instructions)
+    return trace, profile_trace(trace)
+
+
 def profile_program(program: Program, max_instructions: int = 2_000_000) -> Profile:
     """Run ``program`` functionally and profile the resulting trace."""
-    return profile_trace(run_program(program, max_instructions=max_instructions))
+    return profile_run(program, max_instructions)[1]

@@ -62,6 +62,17 @@ def sequential_reference(program: Program,
     return trace, ArchState.from_interpreter(interp, len(trace))
 
 
+def compiled_reference(compiled) -> Tuple[int, ArchState]:
+    """:func:`sequential_reference` of a runner ``Compiled`` entry's
+    program as (instructions retired, final state), run once per
+    compilation and kept on the entry; every cell sharing the
+    compilation replays its own commit log against it."""
+    if compiled.reference is None:
+        trace, state = sequential_reference(compiled.partition.program)
+        compiled.reference = (len(trace), state)
+    return compiled.reference
+
+
 def replay_commits(
     program: Program,
     trace: Trace,

@@ -27,8 +27,8 @@ from repro.reliability.monitors import InvariantMonitor, InvariantViolation
 from repro.reliability.oracle import (
     check_commit_log,
     compare_states,
+    compiled_reference,
     replay_commits,
-    sequential_reference,
 )
 from repro.sim import SimConfig
 from repro.workloads import all_benchmarks
@@ -106,11 +106,11 @@ def verify_workload(
         input_set=input_set,
     )
     program = compiled.partition.program
-    ref_trace, ref_state = sequential_reference(program)
+    ref_length, ref_state = compiled_reference(compiled)
     report.dynamic_tasks = len(compiled.stream.tasks)
-    if len(ref_trace) != len(compiled.trace):
+    if ref_length != len(compiled.trace):
         report.divergences.append(
-            f"sequential re-execution produced {len(ref_trace)} "
+            f"sequential re-execution produced {ref_length} "
             f"instructions, compiled trace has {len(compiled.trace)} "
             f"(non-deterministic workload?)"
         )

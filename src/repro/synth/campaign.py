@@ -52,6 +52,7 @@ from repro.reliability.monitors import InvariantMonitor, InvariantViolation
 from repro.reliability.oracle import (
     check_commit_log,
     compare_states,
+    compiled_reference,
     replay_commits,
     sequential_reference,
 )
@@ -63,6 +64,7 @@ from repro.synth.generator import (
 )
 from repro.synth.params import PRESETS
 from repro.telemetry.metrics import MetricsRegistry, TASK_SIZE_BOUNDS
+from repro.workloads.registry import synth_source_hash
 
 ALL_LEVELS: Tuple[HeuristicLevel, ...] = tuple(HeuristicLevel)
 
@@ -257,11 +259,10 @@ def execute_fuzz_spec(spec: RunSpec) -> "RunRecord":
     )
     program = compiled.partition.program
     if spec.source_hash is not None:
-        # The worker rebuilt the program from its name; a hash mismatch
-        # means generation is not deterministic across processes.
-        rebuilt = program_source_hash(
-            _pristine_program(spec.benchmark, spec.scale)
-        )
+        # The worker rebuilt the program from its name, independently
+        # of the generation that hashed the spec; a mismatch means
+        # generation is not deterministic across processes.
+        rebuilt = synth_source_hash(spec.benchmark, spec.scale)
         if rebuilt != spec.source_hash:
             divergences.append(
                 f"source hash mismatch: spec says {spec.source_hash[:12]}, "
@@ -290,10 +291,10 @@ def execute_fuzz_spec(spec: RunSpec) -> "RunRecord":
         divergences.append(f"invariant violation: {exc}")
         record = _stub_record(spec, compiled)
     else:
-        ref_trace, ref_state = sequential_reference(program)
-        if len(ref_trace) != len(compiled.trace):
+        ref_length, ref_state = compiled_reference(compiled)
+        if ref_length != len(compiled.trace):
             divergences.append(
-                f"sequential re-execution produced {len(ref_trace)} "
+                f"sequential re-execution produced {ref_length} "
                 f"instructions, compiled trace has {len(compiled.trace)}"
             )
         else:
@@ -552,6 +553,7 @@ def check_program(
         stream = build_task_stream(trace, partition)
         release = ReleaseAnalysis(partition)
         results = {}
+        _, ref_state = sequential_reference(prog)
         for engine in ENGINES:
             if machine_spec is not None:
                 config = SimConfig(engine=engine, machine=machine_spec)
@@ -574,7 +576,6 @@ def check_program(
                 f"{tag}[{engine}]: {d}"
                 for d in check_commit_log(monitor.commit_log, len(trace))
             )
-            ref_trace, ref_state = sequential_reference(prog)
             replay_state, replay_div = replay_commits(
                 prog, trace, monitor.commit_log
             )

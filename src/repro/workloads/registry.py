@@ -10,9 +10,12 @@ the dominant trip counts for longer or shorter runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from repro.ir.program import Program
+
+if TYPE_CHECKING:
+    from repro.synth.params import SynthParams
 
 BuilderFn = Callable[[float], Program]
 
@@ -27,11 +30,16 @@ class Benchmark:
     builder: BuilderFn
 
     def build(self, scale: float = 1.0, input_set: str = "ref") -> Program:
-        """Construct a fresh program instance.
+        """Construct the benchmark's program.
 
         ``input_set`` selects the deterministic input data ("ref",
         "train", "alt"); the static code is identical across sets —
         only the initial memory image differs.
+
+        Registry programs are fresh instances.  Synthetic
+        (``synth:``) programs are generated once per process and
+        shared: treat them as read-only.  ``select_tasks`` and the
+        reducer transform clones, never their input.
         """
         from repro.workloads.kernels import input_set as activate
 
@@ -42,6 +50,12 @@ class Benchmark:
 
 
 _REGISTRY: Dict[str, Benchmark] = {}
+
+#: generated programs, one per ``(seed, params.scaled(scale))``;
+#: cleared by :func:`clear_synth_cache`
+_SYNTH_PROGRAMS: Dict[Tuple[int, "SynthParams"], Program] = {}
+#: content hashes of ``_SYNTH_PROGRAMS`` entries, same keys
+_SYNTH_HASHES: Dict[Tuple[int, "SynthParams"], str] = {}
 
 
 def register(name: str, suite: str, description: str) -> Callable[[BuilderFn], BuilderFn]:
@@ -76,17 +90,53 @@ def get_benchmark(name: str) -> Benchmark:
         raise KeyError(f"unknown benchmark {name!r}; known: {known}") from None
 
 
-def _synth_benchmark(name: str) -> Benchmark:
-    """A generated benchmark for a ``synth:<preset>:<seed>`` name."""
-    from repro.synth.generator import generate_program, parse_synth_name
+def _parse_synth_name(name: str) -> Tuple[str, int, "SynthParams"]:
+    from repro.synth.generator import parse_synth_name
 
     try:
-        preset, seed, params = parse_synth_name(name)
+        return parse_synth_name(name)
     except ValueError as exc:
         raise KeyError(str(exc)) from None
 
+
+def _synth_program(seed: int, params: "SynthParams") -> Program:
+    """The generated program of ``(seed, params)``, once per process."""
+    from repro.synth.generator import generate_program
+
+    key = (seed, params)
+    program = _SYNTH_PROGRAMS.get(key)
+    if program is None:
+        program = _SYNTH_PROGRAMS[key] = generate_program(seed, params)
+    return program
+
+
+def synth_source_hash(name: str, scale: float = 1.0) -> str:
+    """Content hash of the ``synth:`` program ``name`` builds at
+    ``scale``, computed once per generated program."""
+    from repro.synth.generator import program_source_hash
+
+    _preset, seed, params = _parse_synth_name(name)
+    key = (seed, params.scaled(scale))
+    digest = _SYNTH_HASHES.get(key)
+    if digest is None:
+        digest = _SYNTH_HASHES[key] = program_source_hash(
+            _synth_program(*key)
+        )
+    return digest
+
+
+def clear_synth_cache() -> None:
+    """Drop every generated program and its hash."""
+    _SYNTH_PROGRAMS.clear()
+    _SYNTH_HASHES.clear()
+
+
+def _synth_benchmark(name: str) -> Benchmark:
+    """A generated benchmark for a ``synth:<preset>:<seed>`` name."""
+    preset, seed, params = _parse_synth_name(name)
+
     def builder(scale: float) -> Program:
-        return generate_program(seed, params.scaled(scale))
+        return _synth_program(seed, params.scaled(scale))
 
     return Benchmark(
         name=name,
